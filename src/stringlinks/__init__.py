@@ -6,12 +6,12 @@ __version__ = "0.1.0"
 
 from .words import (Braid, LongitudeTuple, Word, artin_action, braid_commutator,
                     commutator, longitudes, pure_braid_relations)
-from .tensor import TensorSeries, bch, substitute
+from .tensor import Substitution, TensorSeries, bch
 from .lie import (HTensorLie, LieElement, bracket_map_matrix, conjugating_element,
                   d_dimension, lyndon_words, witt_dim)
 from .expansions import (Expansion, SpecialityReport, build_special, exp_expansion,
                          filtration_degree, is_grouplike_expansion, is_special,
-                         magnus_expansion, milnor_level)
+                         magnus_expansion)
 from .milnor import (FiltrationError, SpecialAutData, conjugator, milnor_degree,
                      special_artin, total_milnor, truncated_milnor)
 from .trees import (ScaleError, TreeCombination, TreeDiagram, enumerate_trees,

@@ -17,10 +17,11 @@ commutators and may nest and carry powers.  Longitude tuples come from
 JSON files: {"n": ..., "truncation": ..., "words": [[gen, exp], ...] per
 strand}.
 
-Exit codes: 0 success, 2 argument or input parse error, 3 violated
-mathematical precondition (filtration, speciality, scale), 4 internal
-invariant failure.  All randomness is seed-controlled and echoed in the
-output, and output is byte-deterministic given the configuration.
+Exit codes: 0 success, 2 argument or input parse error (including a JSON
+input file of the wrong shape), 3 violated mathematical precondition
+(filtration, speciality, scale), 4 internal invariant failure.  All
+randomness is seed-controlled and echoed in the output, and output is
+byte-deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 
-class BraidSyntaxError(ValueError):
+class ParseError(ValueError):
+    """Input text or an input file that does not follow its format (exit 2)."""
+
+
+class BraidSyntaxError(ParseError):
     pass
 
 
@@ -67,15 +72,8 @@ def _tokenize(text: str) -> list[str]:
             j = text.find(")", i)
             if j < 0:
                 raise BraidSyntaxError(f"unterminated generator at offset {i}")
-            j += 1
-            if j < len(text) and text[j] == "^":
-                j += 1
-                if j < len(text) and text[j] == "-":
-                    j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            out.append(text[i:j])
-            i = j
+            out.append(text[i:j + 1])
+            i = j + 1
         elif ch == "^":
             j = i + 1
             if j < len(text) and text[j] == "-":
@@ -127,21 +125,12 @@ def parse_braid(text: str, n: int) -> Braid:
             return base ** parse_power()
         if tok.startswith("A("):
             pos += 1
-            body = tok[2:]
-            close = body.index(")")
-            inside = body[:close]
-            rest = body[close + 1:]
             try:
-                i_str, j_str = inside.split(",")
+                i_str, j_str = tok[2:-1].split(",")
                 i, j = int(i_str), int(j_str)
             except ValueError:
                 raise BraidSyntaxError(f"bad generator token {tok!r}")
-            power = 1
-            if rest:
-                if not rest.startswith("^"):
-                    raise BraidSyntaxError(f"bad generator token {tok!r}")
-                power = int(rest[1:])
-            power *= parse_power()
+            power = parse_power()
             try:
                 return Braid.gen(n, i, j, power)
             except ValueError as exc:
@@ -163,12 +152,59 @@ def parse_braid(text: str, n: int) -> Braid:
     return word
 
 
-def load_longitude_tuple(path: str) -> LongitudeTuple:
+# -- JSON input files ---------------------------------------------------------
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x, length: int | None = None) -> bool:
+    return (isinstance(x, list) and all(_is_int(v) for v in x)
+            and (length is None or len(x) == length))
+
+
+def _longitude_shape(doc) -> bool:
+    return (isinstance(doc, dict) and _is_int(doc.get("n"))
+            and (doc.get("truncation") is None or _is_int(doc["truncation"]))
+            and isinstance(doc.get("words"), list)
+            and all(isinstance(letters, list)
+                    and all(_is_int_list(letter, 2) for letter in letters)
+                    for letters in doc["words"]))
+
+
+def _expansion_shape(doc) -> bool:
+    return (isinstance(doc, dict) and _is_int(doc.get("n"))
+            and _is_int(doc.get("truncation"))
+            and isinstance(doc.get("images"), list)
+            and all(isinstance(terms, list)
+                    and all(isinstance(t, dict) and _is_int_list(t.get("word"))
+                            and (isinstance(t.get("coefficient"), str)
+                                 or _is_int(t.get("coefficient")))
+                            for t in terms)
+                    for terms in doc["images"]))
+
+
+def _load_json(path: str, shape_ok, expected: str):
+    """A JSON input file, checked against its format before any use."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not shape_ok(doc):
+        raise ParseError(f"{path} is not {expected}")
+    return doc
+
+
+def load_longitude_tuple(path: str) -> LongitudeTuple:
+    doc = _load_json(path, _longitude_shape, 'a longitude tuple {"n": int, '
+                     '"truncation": int or null, "words": [[[gen, exp], ...], ...]}')
     n = doc["n"]
     words = tuple(Word.of(n, (tuple(l) for l in letters)) for letters in doc["words"])
     return LongitudeTuple(n, words, doc.get("truncation"))
+
+
+def load_expansion(path: str) -> Expansion:
+    return Expansion.from_json_dict(_load_json(
+        path, _expansion_shape, 'an expansion {"n": int, "truncation": int, '
+        '"images": [[{"word": [int, ...], "coefficient": "p/q"}, ...], ...]}'))
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -187,7 +223,7 @@ def _resolve_expansion(args, trunc: int) -> tuple[Expansion, dict]:
     if spec == "randomized":
         return (build_special(args.n, trunc, strategy="randomized", seed=seed),
                 {"expansion": "randomized", "seed": seed})
-    theta = Expansion.load(spec)
+    theta = load_expansion(spec)
     if theta.n != args.n:
         raise ValueError(f"expansion file has n={theta.n}, expected {args.n}")
     if theta.trunc < trunc:
@@ -269,7 +305,7 @@ def cmd_expansion(args) -> int:
         else:
             print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    theta = Expansion.load(args.file)
+    theta = load_expansion(args.file)
     report = is_special(theta)
     doc = {"command": "expansion check", "n": theta.n, "truncation": theta.trunc,
            "groupLike": report.grouplike, "tangential": report.tangential,
@@ -467,12 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "k", None) is not None and args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
+    for flag in ("k", "trunc"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print(f"error: --{flag} must be >= 1", file=sys.stderr)
+            return EXIT_PARSE
     try:
         return args.func(args)
-    except (BraidSyntaxError, json.JSONDecodeError) as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FileNotFoundError as exc:

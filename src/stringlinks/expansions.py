@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .lie import LieElement, conjugating_element, lyndon_words
+from .lie import (LieElement, bracket_map_matrix, conjugating_element,
+                  lyndon_words)
 from .tensor import Q0, Q1, TensorSeries, Wd
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
 
@@ -268,6 +269,8 @@ class Expansion:
         self.images = images
         self._inverses = tuple(img.inverse() for img in images)
         self._word_cache: dict[tuple, TensorSeries] = {}
+        # special_artin results by (input letters, max_degree)
+        self._artin_cache: dict[tuple, object] = {}
         self._scaled_tables: dict[int, _ScaledTable] = {}
         self._speciality: SpecialityReport | None = None
 
@@ -438,15 +441,8 @@ def is_special(theta: Expansion) -> SpecialityReport:
 
 @functools.lru_cache(maxsize=None)
 def _correction_system(n: int, m: int):
-    """Presolved system and kernel basis for sum_i [u_i, X_i] = r, u_i in L_m."""
-    domain = [(i, w) for i in range(1, n + 1) for w in lyndon_words(n, m)]
-    codomain = lyndon_words(n, m + 1)
-    cod_index = {w: k for k, w in enumerate(codomain)}
-    rows = [[Q0] * len(domain) for _ in codomain]
-    for col, (i, w) in enumerate(domain):
-        img = LieElement(n, {w: Q1}).bracket(LieElement.generator(n, i))
-        for ww, c in img.coords.items():
-            rows[cod_index[ww]][col] = c
+    """Presolved system and kernel basis for sum_i [X_i, u_i] = r, u_i in L_m."""
+    rows = bracket_map_matrix(n, m)
     return linalg.PresolvedSystem(rows), linalg.nullspace(rows)
 
 
@@ -496,7 +492,7 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
         system, kernel = _correction_system(n, m)
         rhs = [Q0] * len(codomain)
         for w, c in top.coords.items():
-            rhs[cod_index[w]] = -c
+            rhs[cod_index[w]] = c  # sum_i [u_i, X_i] = -top cancels top
         solution = system.solve(rhs)
         if solution is None:
             raise RuntimeError("corrector system inconsistent; the bracket "
@@ -541,5 +537,3 @@ def filtration_degree(data: Braid | LongitudeTuple, max_k: int) -> int:
             level = min(level, lowest)
     return level
 
-
-milnor_level = filtration_degree

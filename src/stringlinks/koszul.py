@@ -9,9 +9,10 @@ degrees 1..degree_cap.  Exterior powers carry the boundary
 
 so in particular d_2(a ^ b) = -[a, b].  The boundary preserves the
 internal degree (the sum of member degrees), so all linear algebra runs
-per internal-degree block; homology bases and projections are
-deterministic (reduced echelon pivots over Lyndon-lexicographic tuple
-order) and therefore reproducible across runs.
+per internal-degree block.  A homology block is read off one reduced
+echelon form of ``[image | kernel]``: its pivot columns are the columns
+that raise the rank, left to right in Lyndon-lexicographic tuple order,
+so homology bases and projections are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -273,10 +274,11 @@ class NotACycleError(ValueError):
 class HomologyBasis:
     """Deterministic basis data for H_p of one nilpotent quotient.
 
-    Per internal degree d the block holds cycle representatives extending a
-    basis of the boundary space; a cycle projects to coordinates over the
-    representatives by one exact solve.  Representative order (and hence
-    class coordinates) is fixed by the echelon pivot rule.
+    Per internal degree d the block holds a boundary basis and cycle
+    representatives extending it: the pivot columns of one reduced echelon
+    form of ``[image of d_{p+1} | kernel basis of d_p]``, which fix the
+    representative order and hence class coordinates.  A cycle projects
+    to coordinates over the representatives by one exact solve.
     """
 
     def __init__(self, p: int, n: int, degree_cap: int):
@@ -297,40 +299,24 @@ class HomologyBasis:
         domain = exterior_basis(self.basis, self.p, d)
         if not domain:
             return None
-        dom_index = {t: k for k, t in enumerate(domain)}
-        columns, _ = _boundary_columns(self.basis, self.p, d)
-        rows = [[columns[c][r] for c in range(len(domain))]
-                for r in range(len(columns[0]))] if columns and columns[0] else []
-        kernel = linalg.nullspace(rows) if rows else [
-            [Q1 if i == j else Q0 for j in range(len(domain))]
-            for i in range(len(domain))]
-
+        columns, codomain = _boundary_columns(self.basis, self.p, d)
+        if codomain:
+            kernel = linalg.nullspace([[col[r] for col in columns]
+                                       for r in range(len(codomain))])
+        else:
+            kernel = [[Q1 if i == j else Q0 for j in range(len(domain))]
+                      for i in range(len(domain))]
         image_cols, _ = _boundary_columns(self.basis, self.p + 1, d)
-        # keep only image columns that increase the rank, in input order
-        span: list[list[Fraction]] = []
-        current_rank = 0
-        for col in image_cols:
-            candidate = span + [col]
-            r = linalg.column_rank(candidate)
-            if r > current_rank:
-                span.append(col)
-                current_rank = r
-        image_basis = span
-
-        reps = []
-        rank_now = linalg.column_rank(image_basis)
-        combined = list(image_basis)
-        for vec in kernel:
-            r = linalg.column_rank(combined + [vec])
-            if r > rank_now:
-                combined.append(vec)
-                reps.append(vec)
-                rank_now = r
+        candidates = image_cols + kernel
+        _, pivots = linalg.rref([[col[r] for col in candidates]
+                                 for r in range(len(domain))])
+        split = len(image_cols)
         return {
             "tuples": domain,
-            "tuple_index": dom_index,
-            "image_basis": image_basis,
-            "reps": reps,
+            "tuple_index": {t: k for k, t in enumerate(domain)},
+            "image_basis": [image_cols[c] for c in pivots if c < split],
+            "reps": [kernel[c - split] for c in pivots if c >= split],
+            "cycles": len(kernel),
         }
 
     @property
@@ -343,16 +329,10 @@ class HomologyBasis:
 
     def degree_table(self) -> dict[int, dict[str, int]]:
         """Per internal degree: chain, cycle, boundary and homology dimensions."""
-        out = {}
-        for d, block in sorted(self.blocks.items()):
-            total = len(block["tuples"])
-            boundaries = len(block["image_basis"])
-            hom = len(block["reps"])
-            columns, _ = _boundary_columns(self.basis, self.p, d)
-            rk = linalg.column_rank(columns)
-            out[d] = {"chains": total, "cycles": total - rk,
-                      "boundaries": boundaries, "homology": hom}
-        return out
+        return {d: {"chains": len(block["tuples"]), "cycles": block["cycles"],
+                    "boundaries": len(block["image_basis"]),
+                    "homology": len(block["reps"])}
+                for d, block in sorted(self.blocks.items())}
 
     def representative(self, k: int) -> ExteriorChain:
         d, inside = self.rep_index[k]

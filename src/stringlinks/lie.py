@@ -384,7 +384,7 @@ class HTensorLie:
 
 
 def bracket_map_matrix(n: int, d: int) -> list[list[Fraction]]:
-    """Matrix of H (x) L_d -> L_{d+1}, columns indexed by (i, Lyndon word)."""
+    """Matrix of H (x) L_d -> L_{d+1}; column (i, w) is [X_i, w]."""
     domain = [(i, w) for i in range(1, n + 1) for w in lyndon_words(n, d)]
     codomain = lyndon_words(n, d + 1)
     cod_index = {w: k for k, w in enumerate(codomain)}
@@ -404,16 +404,10 @@ def d_dimension(n: int, d: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _ad_generator_system(n: int, d: int, i: int) -> "linalg.PresolvedSystem":
-    """Presolved system for [u, X_i] = r with u of degree d."""
-    domain = lyndon_words(n, d)
-    codomain = lyndon_words(n, d + 1)
-    cod_index = {w: k for k, w in enumerate(codomain)}
-    rows = [[Q0] * len(domain) for _ in codomain]
-    for col, w in enumerate(domain):
-        img = LieElement(n, {w: Q1}).bracket(LieElement.generator(n, i))
-        for ww, c in img.coords.items():
-            rows[cod_index[ww]][col] = c
-    return linalg.PresolvedSystem(rows, ncols=len(domain))
+    """Presolved system for [X_i, u] = r with u of degree d: block i of columns."""
+    size = len(lyndon_words(n, d))
+    rows = [row[(i - 1) * size:i * size] for row in bracket_map_matrix(n, d)]
+    return linalg.PresolvedSystem(rows, ncols=size)
 
 
 def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieElement:
@@ -437,7 +431,7 @@ def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieEleme
         cod_index = {w: k for k, w in enumerate(codomain)}
         rhs = [Q0] * len(codomain)
         for w, c in residue.coords.items():
-            rhs[cod_index[w]] = c
+            rhs[cod_index[w]] = -c  # [u, X_i] = -[X_i, u]
         sol = _ad_generator_system(n, d, i).solve(rhs)
         if sol is None:
             raise ValueError(f"target is not conjugate to X{i}: "

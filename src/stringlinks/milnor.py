@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .expansions import (Expansion, is_special, longitude_magnus_images,
                          magnus_expansion)
 from .lie import HTensorLie, LieElement, conjugating_element
-from .tensor import Substitution, TensorSeries, substitute
+from .tensor import Substitution, TensorSeries
 from .words import Braid, LongitudeTuple, Word, longitudes
 
 
@@ -84,7 +84,7 @@ class SpecialAutData:
         images = [self.generator_image(i) for i in range(1, self.n + 1)]
         if series.trunc != self._trunc():
             images = [img.truncate(series.trunc) for img in images]
-        return substitute(images, series)
+        return Substitution(images)(series)
 
     def speciality_defect(self) -> TensorSeries:
         """sum_i (image of X_i) - sum_i X_i; zero for genuine special data."""
@@ -171,9 +171,7 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
         cache_key = (data.letters, max_degree)
     else:
         cache_key = (tuple(y.letters for y in data.words), max_degree)
-    cache = getattr(theta, "_artin_cache", None)
-    if cache is None:
-        cache = theta._artin_cache = {}
+    cache = theta._artin_cache
     if cache_key in cache:
         return cache[cache_key]
 
@@ -264,13 +262,13 @@ def infinitesimal_artin_series(data: Braid | LongitudeTuple, theta: Expansion,
     tuple_ = _as_longitudes(data)
     n, trunc = theta.n, theta.trunc
     one = TensorSeries.one(n, trunc)
-    s_images = [img - one for img in theta.images]
+    s_map = Substitution([img - one for img in theta.images])
 
     # S^-1(X_i) degree by degree: the correction at degree d is minus the
     # degree-d error of the current approximation under S.
     z = TensorSeries.generator(n, trunc, i)
     for d in range(2, trunc + 1):
-        error = substitute(s_images, z) - TensorSeries.generator(n, trunc, i)
+        error = s_map(z) - TensorSeries.generator(n, trunc, i)
         z = z - error.degree_component(d)
 
     magnus = magnus_expansion(n, trunc)
@@ -280,4 +278,4 @@ def infinitesimal_artin_series(data: Braid | LongitudeTuple, theta: Expansion,
         conj = y * Word.gen(n, j) * y.inverse()
         t_images.append(magnus.evaluate(conj) - one)
 
-    return substitute(s_images, substitute(t_images, z))
+    return s_map(Substitution(t_images)(z))

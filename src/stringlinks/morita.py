@@ -26,10 +26,12 @@ from dataclasses import dataclass
 
 from . import linalg
 from .expansions import Expansion
-from .koszul import (ExteriorChain, HomologyClass, NotACycleError, boundary,
-                     exterior_basis, homology, nilpotent_basis)
+from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
+                     _boundary_columns, boundary, exterior_basis, homology,
+                     nilpotent_basis)
 from .lie import HTensorLie
 from .milnor import FiltrationError, special_artin
+from .tensor import Q0
 from .trees import TreeCombination, enumerate_trees, eta, eta_inverse
 from .words import Braid, LongitudeTuple
 
@@ -98,33 +100,22 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
     if not boundary(target).is_zero():
         raise NotACycleError("boundary target is not a cycle")
     basis = target.basis
-    out = ExteriorChain.zero(basis, 3)
+    coords = {}
     for d in target.internal_degrees():
-        component = target.degree_component(d)
-        domain = exterior_basis(basis, 3, d)
-        codomain = exterior_basis(basis, 2, d)
+        columns, codomain = _boundary_columns(basis, 3, d)
         cod_index = {t: j for j, t in enumerate(codomain)}
-        columns = []
-        for t in domain:
-            img = boundary(ExteriorChain(basis, 3, {t: 1}))
-            col = [0] * len(codomain)
-            for tt, c in img.coords.items():
-                col[cod_index[tt]] = c
-            columns.append(col)
-        rhs = [0] * len(codomain)
-        for tt, c in component.coords.items():
-            rhs[cod_index[tt]] = c
+        rhs = [Q0] * len(codomain)
+        for t, c in target.degree_component(d).coords.items():
+            rhs[cod_index[t]] = c
         order = None
         if pivot_order == "backward":
-            order = list(range(len(domain)))[::-1]
+            order = list(range(len(columns)))[::-1]
         sol = linalg.solve_in_span(columns, rhs, column_order=order)
         if sol is None:
             raise RuntimeError(f"no bounding 3-chain in internal degree {d}; "
                                "H_2 triviality must have been violated")
-        for t, c in zip(domain, sol):
-            if c:
-                out = out + ExteriorChain(basis, 3, {t: c})
-    return out
+        coords.update((t, c) for t, c in zip(exterior_basis(basis, 3, d), sol) if c)
+    return ExteriorChain(basis, 3, coords)
 
 
 def morita_milnor(inp: MoritaInput, pivot_order: str = "forward") -> HomologyClass:

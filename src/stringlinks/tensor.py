@@ -321,8 +321,3 @@ class Substitution:
                 else:
                     del out[ww]
         return TensorSeries(self.n, self.trunc, out)
-
-
-def substitute(images: list[TensorSeries], series: TensorSeries) -> TensorSeries:
-    """Apply the algebra endomorphism X_i |-> images[i-1] to ``series``."""
-    return Substitution(images)(series)

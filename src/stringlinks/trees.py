@@ -214,14 +214,10 @@ class TreeDiagram:
 
 
 @functools.lru_cache(maxsize=None)
-def _expr_lie_cached(n: int, expr) -> LieElement:
+def _expr_lie(n: int, expr) -> LieElement:
     if isinstance(expr, int):
         return LieElement.generator(n, expr)
-    return _expr_lie_cached(n, expr[0]).bracket(_expr_lie_cached(n, expr[1]))
-
-
-def _expr_lie(n: int, expr) -> LieElement:
-    return _expr_lie_cached(n, expr)
+    return _expr_lie(n, expr[0]).bracket(_expr_lie(n, expr[1]))
 
 
 class TreeCombination:

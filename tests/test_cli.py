@@ -32,7 +32,7 @@ def test_parse_braid_grammar():
 
 def test_parse_braid_errors():
     for bad in ["A(1", "A(1,2", "[A(1,2)]", "[A(1,2), A(1,3)", "A(2,1)",
-                "B(1,2)", "A(1,2)]"]:
+                "B(1,2)", "A(1,2)]", "A(1,2)^", "A(1,2)^-"]:
         with pytest.raises(BraidSyntaxError):
             parse_braid(bad, 3)
 
@@ -64,6 +64,35 @@ def test_milnor_filtration_violation_exit_code(capsys):
 def test_milnor_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "milnor", "--braid", "A(1", "--n", "2", "--k", "1")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("doc", [
+    {"truncation": None, "words": [[], []]},
+    [[], []],
+    {"n": 2, "truncation": None, "words": [[[1]], []]},
+], ids=["no-n", "top-level-list", "letter-without-exponent"])
+def test_malformed_longitude_file_exit_code(capsys, tmp_path, doc):
+    path = tmp_path / "longitudes.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "milnor", "--longitude-file", str(path),
+                       "--n", "2", "--k", "1")
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+
+
+def test_malformed_expansion_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps([[{"word": [1], "coefficient": "1"}]]))
+    code, _, err = run(capsys, "expansion", "check", str(path))
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+
+
+def test_total_mode_rejects_trunc_below_one(capsys):
+    code, _, err = run(capsys, "milnor", "--braid", "A(1,2)", "--n", "2",
+                       "--mode", "total", "--trunc", "0")
+    assert code == EXIT_PARSE
+    assert "--trunc" in err
 
 
 def test_level_command(capsys):

@@ -5,7 +5,7 @@ import pytest
 from stringlinks.expansions import (Expansion, braid_magnus_images, build_special,
                                     exp_expansion, filtration_degree,
                                     is_grouplike_expansion, is_special,
-                                    magnus_expansion, magnus_integer, milnor_level)
+                                    magnus_expansion, magnus_integer)
 from stringlinks.lie import LieElement
 from stringlinks.tensor import TensorSeries
 from stringlinks.words import Braid, Word, braid_commutator, longitudes
@@ -144,4 +144,3 @@ def test_filtration_degree():
     assert filtration_degree(g12, 5) == 1
     assert filtration_degree(braid_commutator(g12, g13), 5) == 2
     assert filtration_degree(braid_commutator(g12, braid_commutator(g12, g13)), 5) == 3
-    assert milnor_level is filtration_degree

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from stringlinks.koszul import (ExteriorChain, NotACycleError, boundary,
-                                exterior_basis, homology, nilpotent_basis,
-                                phi_class)
+from stringlinks import linalg
+from stringlinks.koszul import (ExteriorChain, NotACycleError,
+                                _boundary_columns, boundary, exterior_basis,
+                                homology, nilpotent_basis, phi_class)
 from stringlinks.lie import LieElement, d_dimension, witt_dim
 from stringlinks.trees import TreeCombination, TreeDiagram, enumerate_trees
 
@@ -177,3 +178,24 @@ def test_degree_table_shape():
     for row in table.values():
         assert row["cycles"] >= row["boundaries"]
         assert row["homology"] == row["cycles"] - row["boundaries"]
+
+
+
+# Pinned fingerprints and dimensions of homology(p, n, cap): a change to the
+# representative selection that moves them changes every class coordinate.
+# The stored cycle counts are checked against an independent rank.
+@pytest.mark.parametrize("p, n, cap, fingerprint, dimension", [
+    (3, 2, 3, "8e22ac0aa64189ce", 3),
+    (3, 3, 2, "d30a0585a86050e2", 12),
+    (3, 4, 2, "fa2b1cab16cafd93", 56),
+    (3, 3, 3, "3d269c4be33216af", 70),
+    (2, 3, 3, "0f26a566767d1f1b", 18),
+    (4, 3, 2, "85a25d289746aea2", 8),
+])
+def test_pinned_homology_bases(p, n, cap, fingerprint, dimension):
+    h = homology(p, n, cap)
+    assert h.fingerprint() == fingerprint
+    assert h.dimension == dimension
+    for d, row in h.degree_table().items():
+        columns, _ = _boundary_columns(h.basis, p, d)
+        assert row["cycles"] == row["chains"] - linalg.column_rank(columns)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringlinks.tensor import Substitution, TensorSeries, bch, substitute
+from stringlinks.tensor import Substitution, TensorSeries, bch
 
 from support import seeded
 
@@ -136,12 +136,12 @@ def test_substitute_identity_and_composition():
     ident = [gen(n, N, i) for i in range(1, n + 1)]
     rng = seeded(3)
     s = random_primitive(n, N, rng).exp()
-    assert substitute(ident, s) == s
+    assert Substitution(ident)(s) == s
     # composing two substitutions = substituting the composed images
     f = [gen(n, N, 2), gen(n, N, 1)]               # swap generators
     g = [gen(n, N, 1) + gen(n, N, 2).scale(2), gen(n, N, 2)]
-    fg = [substitute(f, img) for img in g]
-    assert substitute(f, substitute(g, s)) == substitute(fg, s)
+    fg = [Substitution(f)(img) for img in g]
+    assert Substitution(f)(Substitution(g)(s)) == Substitution(fg)(s)
 
 
 def test_substitution_object_reusable():
