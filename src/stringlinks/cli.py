@@ -18,7 +18,8 @@ JSON files: {"n": ..., "truncation": ..., "words": [[gen, exp], ...] per
 strand}.
 
 Exit codes: 0 success, 2 argument or input parse error (including a JSON
-input file of the wrong shape), 3 violated mathematical precondition
+input file of the wrong shape or encoding, and an input path that cannot
+be read), 3 violated mathematical precondition
 (filtration, speciality, scale), 4 internal invariant failure.  All
 randomness is seed-controlled and echoed in the output, and output is
 byte-deterministic given the configuration.
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .expansions import (Expansion, build_special, filtration_degree,
@@ -172,22 +174,34 @@ def _longitude_shape(doc) -> bool:
                     for letters in doc["words"]))
 
 
+def _is_rational(x) -> bool:
+    if not (_is_int(x) or isinstance(x, str)):
+        return False
+    try:
+        Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
 def _expansion_shape(doc) -> bool:
     return (isinstance(doc, dict) and _is_int(doc.get("n"))
             and _is_int(doc.get("truncation"))
             and isinstance(doc.get("images"), list)
             and all(isinstance(terms, list)
                     and all(isinstance(t, dict) and _is_int_list(t.get("word"))
-                            and (isinstance(t.get("coefficient"), str)
-                                 or _is_int(t.get("coefficient")))
+                            and _is_rational(t.get("coefficient"))
                             for t in terms)
                     for terms in doc["images"]))
 
 
 def _load_json(path: str, shape_ok, expected: str):
     """A JSON input file, checked against its format before any use."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path} is not UTF-8 JSON: {exc}")
     if not shape_ok(doc):
         raise ParseError(f"{path} is not {expected}")
     return doc
@@ -510,10 +524,10 @@ def main(argv=None) -> int:
             return EXIT_PARSE
     try:
         return args.func(args)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or directory input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (FiltrationError, NotACycleError, ScaleError) as exc:

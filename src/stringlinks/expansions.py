@@ -294,8 +294,7 @@ class Expansion:
         if len(word.letters) >= _DENSE_EVAL_CUTOFF:
             image = magnus_integer(self.n, trunc, word.letters)
             return self._scaled_table(trunc).combine(self.n, image)
-        value = self._eval_letters(word.letters)
-        return value if trunc == self.trunc else value.truncate(trunc)
+        return self._eval_letters(word.letters).truncate(trunc)
 
     def _scaled_table(self, trunc: int) -> _ScaledTable:
         table = self._scaled_tables.get(trunc)
@@ -454,6 +453,12 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
     degree's corrector by a seeded random kernel element of the correction
     system (coefficients in -2..2), producing distinct special expansions
     for different seeds with high probability.
+
+    Step m only needs the discrepancy through degree m + 1, so it forms
+    the images, their product, the log and the Lyndon extraction at
+    truncation m + 1 (and still checks that degrees 2..m vanish); the
+    conjugators are kept at full truncation and the final images are
+    formed from them once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -463,16 +468,17 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
 
     conjugators = [TensorSeries.one(n, trunc) for _ in range(n)]
 
-    def current_images():
-        return tuple(
-            conjugators[i - 1]
-            * TensorSeries.generator(n, trunc, i).exp()
-            * conjugators[i - 1].inverse()
-            for i in range(1, n + 1))
+    def current_images(t: int) -> tuple[TensorSeries, ...]:
+        out = []
+        for i in range(1, n + 1):
+            u = conjugators[i - 1].truncate(t)
+            out.append(u * TensorSeries.generator(n, t, i).exp() * u.inverse())
+        return tuple(out)
 
     for m in range(1, trunc):
-        images = current_images()
-        product = TensorSeries.one(n, trunc)
+        # the degree-(m+1) discrepancy only sees the images through m + 1
+        images = current_images(m + 1)
+        product = TensorSeries.one(n, m + 1)
         for img in images:
             product = product * img
         discrepancy = LieElement.from_tensor(product.log())
@@ -502,13 +508,18 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
                 coeff = rng.randint(-2, 2)
                 if coeff:
                     solution = [s + coeff * v for s, v in zip(solution, kernel_vec)]
+        # each conjugator takes this degree's factors exp(c w) in domain
+        # order, multiplied together first so the dense conjugator is
+        # multiplied once per step
+        corrections = [TensorSeries.one(n, trunc) for _ in range(n)]
         for col, (i, w) in enumerate(domain):
             c = solution[col]
             if c:
-                correction = LieElement(n, {w: c}).to_tensor(trunc).exp()
-                conjugators[i - 1] = conjugators[i - 1] * correction
+                factor = LieElement(n, {w: c}).to_tensor(trunc).exp()
+                corrections[i - 1] = corrections[i - 1] * factor
+        conjugators = [u * f for u, f in zip(conjugators, corrections)]
 
-    theta = Expansion(n, trunc, current_images())
+    theta = Expansion(n, trunc, current_images(trunc))
     report = is_special(theta)
     if not report.is_special:
         raise RuntimeError(f"builder produced a non-special expansion: {report.failure}")

@@ -257,11 +257,19 @@ class LieElement:
             return LieElement(self.n)
         return LieElement(self.n, {w: s * c for w, c in self.coords.items()})
 
-    def bracket(self, other: "LieElement") -> "LieElement":
+    def bracket(self, other: "LieElement", max_degree: int | None = None) -> "LieElement":
+        """[self, other], keeping only degrees <= max_degree when one is given.
+
+        Each pair of basis words brackets homogeneously into the sum of
+        their degrees, so pairs past the bound are skipped before any
+        work is done on them.
+        """
         self._check(other)
         out: dict[Wd, Fraction] = {}
         for wa, ca in self.coords.items():
             for wb, cb in other.coords.items():
+                if max_degree is not None and len(wa) + len(wb) > max_degree:
+                    continue
                 c = ca * cb
                 for w, cw in _basis_bracket(wa, wb):
                     v = out.get(w, Q0) + c * cw
@@ -451,7 +459,7 @@ def _exp_ad(y: LieElement, i: int, trunc: int) -> LieElement:
     term = out
     fact = 1
     for m in range(1, trunc):
-        term = y.bracket(term).truncated(trunc)
+        term = y.bracket(term, trunc)
         if term.is_zero():
             break
         fact *= m

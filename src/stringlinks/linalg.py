@@ -129,7 +129,8 @@ class PresolvedSystem:
         self.transform = [row[self.ncols:] for row in red]
 
     def solve(self, rhs: Vector) -> Vector | None:
-        reduced = [sum((t * b for t, b in zip(row, rhs)), Q0)
+        support = [(k, b) for k, b in enumerate(rhs) if b]
+        reduced = [sum((row[k] * b for k, b in support), Q0)
                    for row in self.transform]
         for k in range(len(self.pivots), self.nrows):
             if reduced[k] != 0:

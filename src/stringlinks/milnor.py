@@ -18,8 +18,12 @@ Two computations of the action are implemented:
   raises degrees, so the self-reference resolves by iteration: knowing
   the Y through degree D determines Phi on any series through degree D+1
   and hence the Y through degree D+1.  The iteration starts from Phi = id
-  and reaches its fixed point in at most max_degree rounds; speciality of
-  the result is asserted, not assumed.
+  and is staged by degree: round r works at truncation
+  min(max_degree + 1, r + 1), so the rounds before the full truncation
+  each add one exact degree at the cost of that degree only.  It stops
+  when a round at full truncation returns its own input, normally after
+  max_degree + 1 rounds and never more than max_degree + 2; speciality
+  of the result is asserted, not assumed.
 
 * ``infinitesimal_artin_series`` (reference, used by the test suite): the
   composite substitution route through the Magnus coordinatisation of the
@@ -183,26 +187,30 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
         theta_y = table.combine(n, image)
         tails.append(theta_y * witnesses[i])
 
-    x_gens = [TensorSeries.generator(n, trunc, i) for i in range(1, n + 1)]
     entries = tuple(LieElement.zero(n) for _ in range(n))
-    for _round in range(max_degree + 2):
-        exps = [y.to_tensor(trunc).exp() for y in entries]
-        images = [exps[i] * x_gens[i] * exps[i].inverse() for i in range(n)]
+    for round_ in range(max_degree + 2):
+        # entries exact through degree round_ fix Phi, and so the Y, through
+        # degree round_ + 1: this round needs no higher truncation than that
+        t = min(trunc, round_ + 1)
+        exps = [y.to_tensor(t).exp() for y in entries]
+        images = [exps[i - 1] * TensorSeries.generator(n, t, i) * exps[i - 1].inverse()
+                  for i in range(1, n + 1)]
         transport = Substitution(images)
         new_entries = []
         for i in range(1, n + 1):
-            b = transport(witness_inverses[i - 1]) * tails[i - 1]
+            b = (transport(witness_inverses[i - 1].truncate(t))
+                 * tails[i - 1].truncate(t))
             # b is group-like and conjugates exp(X_i) to the image of X_i;
             # the normalised Y is the log of b, corrected by the central
             # slack exp(s X_i) that kills the X_i coordinate.
             lam = LieElement.from_tensor(b.log())
             s = -lam.coefficient((i,))
             if s:
-                b = b * TensorSeries.generator(n, trunc, i).scale(s).exp()
+                b = b * TensorSeries.generator(n, t, i).scale(s).exp()
                 lam = LieElement.from_tensor(b.log())
             new_entries.append(lam.truncated(max_degree))
         new_entries = tuple(new_entries)
-        if new_entries == entries:
+        if t == trunc and new_entries == entries:
             break
         entries = new_entries
     else:

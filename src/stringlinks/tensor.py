@@ -24,7 +24,7 @@ Wd = tuple[int, ...]
 
 
 class TensorSeries:
-    __slots__ = ("n", "trunc", "coeffs")
+    __slots__ = ("n", "trunc", "coeffs", "_buckets")
 
     def __init__(self, n: int, trunc: int, coeffs: dict[Wd, Fraction] | None = None):
         if n < 1:
@@ -36,6 +36,7 @@ class TensorSeries:
         if coeffs and not all(coeffs.values()):
             coeffs = {w: c for w, c in coeffs.items() if c}
         self.coeffs = {} if coeffs is None else coeffs
+        self._buckets = None  # degree buckets, filled by the first product
 
     # -- constructors ------------------------------------------------------
 
@@ -105,6 +106,8 @@ class TensorSeries:
         """Deliberate re-truncation to a lower (or equal) degree."""
         if trunc > self.trunc:
             raise ValueError("cannot truncate upwards")
+        if trunc == self.trunc:
+            return self  # series are immutable
         return TensorSeries(self.n, trunc,
                             {w: c for w, c in self.coeffs.items() if len(w) <= trunc})
 
@@ -143,9 +146,13 @@ class TensorSeries:
                             {w: s * c for w, c in self.coeffs.items()})
 
     def _by_degree(self) -> dict[int, list[tuple[Wd, Fraction]]]:
-        buckets: dict[int, list[tuple[Wd, Fraction]]] = {}
-        for w, c in self.coeffs.items():
-            buckets.setdefault(len(w), []).append((w, c))
+        """Terms grouped by degree, computed once per series (coeffs never change)."""
+        buckets = self._buckets
+        if buckets is None:
+            buckets = {}
+            for w, c in self.coeffs.items():
+                buckets.setdefault(len(w), []).append((w, c))
+            self._buckets = buckets
         return buckets
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":

@@ -88,6 +88,35 @@ def test_malformed_expansion_file_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_directory_input_file_exit_code(capsys, tmp_path):
+    for argv in (("milnor", "--n", "3", "--k", "2", "--longitude-file", str(tmp_path)),
+                 ("expansion", "check", str(tmp_path))):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_longitude_file_exit_code(capsys, tmp_path):
+    path = tmp_path / "longitudes.json"
+    path.write_bytes(b'{"n": 2, "truncation": null, "words": [[], []]}\xff')
+    code, _, err = run(capsys, "milnor", "--longitude-file", str(path),
+                       "--n", "2", "--k", "1")
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+
+
+@pytest.mark.parametrize("coefficient", ["abc", "1/0"])
+def test_non_numeric_coefficient_exit_code(capsys, tmp_path, coefficient):
+    path = tmp_path / "theta.json"
+    doc = {"n": 1, "truncation": 2, "images": [[
+        {"word": [], "coefficient": "1"}, {"word": [1], "coefficient": "1"},
+        {"word": [1, 1], "coefficient": coefficient}]]}
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "expansion", "check", str(path))
+    assert code == EXIT_PARSE
+    assert "parse error" in err
+
+
 def test_total_mode_rejects_trunc_below_one(capsys):
     code, _, err = run(capsys, "milnor", "--braid", "A(1,2)", "--n", "2",
                        "--mode", "total", "--trunc", "0")

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,14 @@ def test_build_special_small():
             conj = u * TensorSeries.generator(n, trunc, i).exp() * u.inverse()
             assert conj == theta.images[i - 1]
             assert u.is_grouplike()
+
+
+def test_build_special_pinned_output():
+    # sha256 of the canonical (3, 6) expansion's JSON, recorded from the
+    # builder that worked at full truncation in every degree
+    doc = json.dumps(shared_expansion(3, 6).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "da7a41aaedcb2d4f941911af144b6fcdf1435cbe0dac94769f60e826364632c4")
 
 
 def test_build_special_n1():

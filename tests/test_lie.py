@@ -73,6 +73,25 @@ def test_bracket_agrees_with_tensor_commutator():
         assert a.bracket(b).to_tensor(n_deg) == ta * tb - tb * ta
 
 
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_degree_bounded_bracket(seed, bound):
+    rng = seeded(seed)
+    n = rng.choice([2, 3])
+    a = random_lie(n, rng.sample(range(1, 4), rng.randint(1, 3)), rng)
+    b = random_lie(n, rng.sample(range(1, 4), rng.randint(1, 3)), rng)
+    full = a.bracket(b)
+    bounded = a.bracket(b, bound)
+    assert bounded == full.truncated(bound)
+    assert (bounded.max_degree() or 0) <= bound
+    # the bounded bracket is the commutator in the tensor algebra truncated at the bound
+    ta, tb = a.to_tensor(bound), b.to_tensor(bound)
+    assert bounded == LieElement.from_tensor(ta * tb - tb * ta)
+    # no bound, or one past every degree, leaves the bracket unchanged
+    assert a.bracket(b, None) == full
+    assert a.bracket(b, 6) == full
+
+
 def test_to_tensor_examples():
     br = LieElement.generator(2, 1).bracket(LieElement.generator(2, 2))
     x1, x2 = TensorSeries.generator(2, 2, 1), TensorSeries.generator(2, 2, 2)

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from stringlinks.cli import parse_braid
 from stringlinks.lie import HTensorLie, LieElement, conjugating_element
 from stringlinks.milnor import (FiltrationError, SpecialAutData, conjugator,
                                 infinitesimal_artin_series, milnor_degree,
@@ -95,6 +97,7 @@ def test_matches_composite_reference():
     for n, trunc, braids in [
         (2, 5, [Braid.gen(2, 1, 2), Braid.gen(2, 1, 2) ** 2]),
         (3, 4, [corpus["level2"][0], corpus["g"][0] * corpus["g"][2]]),
+        (3, 5, [corpus["level3"][1]]),
     ]:
         theta = shared_expansion(n, trunc)
         for braid in braids:
@@ -104,6 +107,19 @@ def test_matches_composite_reference():
                 reference = conjugating_element(
                     LieElement.from_tensor(omega), i, trunc - 1)
                 assert reference == aut.entries[i - 1]
+
+
+@pytest.mark.parametrize("word, max_degree, digest", [
+    ("A(1,2) A(2,3)^-1 A(1,3)^2 A(1,2)^-1", None,
+     "94bcafe142620d43f5e18f0f6711104ce0af089a4bc77fefdfdb73727b8cb397"),
+    ("[A(2,3)^-2 , [A(1,3)^-1 , A(1,2)]]", 5,
+     "c5bf69f3bcbe7d85d151760da14f29504712155a1dd4a32ac62f22c59a29ac7d"),
+], ids=["level1", "level3"])
+def test_pinned_total_invariants(word, max_degree, digest):
+    # sha256 of the printed invariant through degree 5 over the canonical
+    # (3, 6) expansion, recorded from the unstaged Artin iteration
+    value = total_milnor(parse_braid(word, 3), shared_expansion(3, 6), max_degree)
+    assert hashlib.sha256(str(value).encode()).hexdigest() == digest
 
 
 def test_degree_k_matches_magnus_oracle():
