@@ -165,12 +165,21 @@ def _is_int_list(x, length: int | None = None) -> bool:
             and (length is None or len(x) == length))
 
 
+def _rank(doc, key: str) -> int | None:
+    """n >= 1 when doc is a dict holding exactly n entries under key."""
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if _is_int(n) and n >= 1 and isinstance(doc.get(key), list) and len(doc[key]) == n:
+        return n
+    return None
+
+
 def _longitude_shape(doc) -> bool:
-    return (isinstance(doc, dict) and _is_int(doc.get("n"))
+    n = _rank(doc, "words")
+    return (n is not None
             and (doc.get("truncation") is None or _is_int(doc["truncation"]))
-            and isinstance(doc.get("words"), list)
             and all(isinstance(letters, list)
-                    and all(_is_int_list(letter, 2) for letter in letters)
+                    and all(_is_int_list(letter, 2) and 1 <= letter[0] <= n
+                            and letter[1] in (1, -1) for letter in letters)
                     for letters in doc["words"]))
 
 
@@ -185,11 +194,12 @@ def _is_rational(x) -> bool:
 
 
 def _expansion_shape(doc) -> bool:
-    return (isinstance(doc, dict) and _is_int(doc.get("n"))
-            and _is_int(doc.get("truncation"))
-            and isinstance(doc.get("images"), list)
+    n = _rank(doc, "images")
+    return (n is not None
+            and _is_int(doc.get("truncation")) and doc["truncation"] >= 1
             and all(isinstance(terms, list)
                     and all(isinstance(t, dict) and _is_int_list(t.get("word"))
+                            and all(1 <= g <= n for g in t["word"])
                             and _is_rational(t.get("coefficient"))
                             for t in terms)
                     for terms in doc["images"]))

@@ -19,13 +19,19 @@ H (x) L_m -> L_{m+1} is onto.  The canonical strategy takes the
 minimal-support row-reduced solution of that linear system; the
 randomized strategy adds a seeded random kernel element, yielding a
 genuinely different special expansion for independence tests.
+
+Long words are evaluated through their integer Magnus images
+(``magnus_integer``, and ``braid_magnus_images`` for the longitudes of a
+braid, whose cost does not grow with the longitudes' length).  The
+substitution S(X_j) = theta(x_j) - 1, one per truncation, maps such an
+image to theta(word) by one linear combination.  Every product here runs
+through the shared kernel of ``tensor``.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,92 +39,26 @@ from fractions import Fraction
 from . import linalg
 from .lie import (LieElement, bracket_map_matrix, conjugating_element,
                   lyndon_words)
-from .tensor import Q0, Q1, TensorSeries, Wd
+from .tensor import (Q0, Q1, Substitution, TensorSeries, Wd, by_degree, convolve,
+                     power_series)
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
-
-
-def _int_mul(a: dict[Wd, int], b: dict[Wd, int], trunc: int) -> dict[Wd, int]:
-    out: dict[Wd, int] = {}
-    buckets: dict[int, list] = {}
-    for w, c in b.items():
-        buckets.setdefault(len(w), []).append((w, c))
-    for w1, c1 in a.items():
-        room = trunc - len(w1)
-        for d2, terms in buckets.items():
-            if d2 > room:
-                continue
-            for w2, c2 in terms:
-                w = w1 + w2
-                v = out.get(w, 0) + c1 * c2
-                if v:
-                    out[w] = v
-                else:
-                    del out[w]
-    return out
-
-
-def _int_inverse(a: dict[Wd, int], trunc: int) -> dict[Wd, int]:
-    """Inverse of an integer series with constant term 1 (again integral)."""
-    if a.get((), 0) != 1:
-        raise ValueError("integer inverse requires constant term 1")
-    v = dict(a)
-    del v[()]
-    out = {(): 1}
-    power = {(): 1}
-    for m in range(1, trunc + 1):
-        power = _int_mul(power, v, trunc)
-        if not power:
-            break
-        sign = (-1) ** m
-        for w, c in power.items():
-            val = out.get(w, 0) + sign * c
-            if val:
-                out[w] = val
-            else:
-                del out[w]
-    return out
 
 
 def magnus_integer(n: int, trunc: int, letters) -> dict[Wd, int]:
     """Integer coefficients of the standard Magnus image of a word.
 
-    Multiplication by (1 + X_g) appends letters; multiplication by its
-    inverse is the triangular back-substitution new * (1 + X_g) = acc,
-    solved by increasing word length.  Everything stays in machine-free
-    Python ints; this is the fast path for very long longitude words.
+    Each letter multiplies by 1 + X_g or by its inverse, the geometric
+    series sum_m (-X_g)^m; both are integral, so everything stays in
+    Python ints.  This is the fast path for very long longitude words.
     """
+    factors: dict[tuple[int, int], dict] = {}
     acc: dict[Wd, int] = {(): 1}
     for g, e in letters:
-        if e == 1:
-            new = dict(acc)
-            for w, c in acc.items():
-                if len(w) < trunc:
-                    ww = w + (g,)
-                    v = new.get(ww, 0) + c
-                    if v:
-                        new[ww] = v
-                    else:
-                        del new[ww]
-        else:
-            new = {}
-            by_len: list[list[Wd]] = [[] for _ in range(trunc + 1)]
-            for w in acc:
-                by_len[len(w)].append(w)
-            pending = {(): None}
-            new[()] = acc[()]
-            for length in range(1, trunc + 1):
-                candidates = set(by_len[length])
-                candidates.update(w + (g,) for w in pending if len(w) == length - 1)
-                next_pending = {}
-                for w in candidates:
-                    v = acc.get(w, 0)
-                    if w[-1] == g:
-                        v -= new.get(w[:-1], 0)
-                    if v:
-                        new[w] = v
-                        next_pending[w] = None
-                pending = next_pending
-        acc = new
+        factor = factors.get((g, e))
+        if factor is None:
+            factor = factors[g, e] = by_degree(
+                {(g,) * m: e ** m for m in range(2 if e == 1 else trunc + 1)})
+        acc = convolve(by_degree(acc), factor, trunc)
     return acc
 
 
@@ -138,6 +78,7 @@ def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
     exponentially.
     """
     n = braid.n
+    signs = [(-1) ** m for m in range(trunc + 1)]  # 1 / (1 + v) = sum (-v)^m
     one: dict[Wd, int] = {(): 1}
     action = [{(): 1, (j,): 1} for j in range(1, n + 1)]
     longs: list[dict[Wd, int]] = [dict(one) for _ in range(n)]
@@ -152,12 +93,14 @@ def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
                 else:
                     factor = inverses.get(g)
                     if factor is None:
-                        factor = inverses[g] = _int_inverse(action[g - 1], trunc)
-                out = _int_mul(out, factor, trunc)
+                        factor = inverses[g] = power_series(
+                            by_degree(action[g - 1]), signs, trunc)
+                out = convolve(by_degree(out), by_degree(factor), trunc)
             return out
 
         letter_longs = _letter_longitudes(n, i, j, e)
-        new_longs = [_int_mul(image_of_word(letter_longs[k]), longs[k], trunc)
+        new_longs = [convolve(by_degree(image_of_word(letter_longs[k])),
+                              by_degree(longs[k]), trunc)
                      for k in range(n)]
         gen_words = _generator_images(n, i, j, e)
         new_action = [image_of_word(gen_words[k]) if k in gen_words else action[k - 1]
@@ -165,85 +108,6 @@ def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
         longs = new_longs
         action = new_action
     return longs
-
-
-class _ScaledTable:
-    """Integer-scaled images of tensor words under a substitution.
-
-    Entry for a word w is (den, nums) with nums integer and
-    sum nums[u]/den * u equal to the product of the generator images along
-    w.  Entries extend lazily by one convolution per new prefix; gcd
-    reduction keeps the integers small.  Used to evaluate an expansion on
-    the (integer) Magnus image of a long word by one linear combination.
-    """
-
-    def __init__(self, images: list[TensorSeries], trunc: int):
-        self.trunc = trunc
-        self.gen_entries = [self._scale(img) for img in images]
-        self.entries: dict[Wd, tuple[int, dict[Wd, int]]] = {(): (1, {(): 1})}
-
-    @staticmethod
-    def _scale(series: TensorSeries) -> tuple[int, dict[Wd, int]]:
-        den = 1
-        for c in series.coeffs.values():
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return den, {w: int(c * den) for w, c in series.coeffs.items()}
-
-    def entry(self, word: Wd) -> tuple[int, dict[Wd, int]]:
-        cached = self.entries.get(word)
-        if cached is None:
-            den1, nums1 = self.entry(word[:-1])
-            den2, nums2 = self.gen_entries[word[-1] - 1]
-            trunc = self.trunc
-            out: dict[Wd, int] = {}
-            buckets1: dict[int, list] = {}
-            for w, c in nums1.items():
-                buckets1.setdefault(len(w), []).append((w, c))
-            buckets2: dict[int, list] = {}
-            for w, c in nums2.items():
-                buckets2.setdefault(len(w), []).append((w, c))
-            for d1, terms1 in buckets1.items():
-                for d2, terms2 in buckets2.items():
-                    if d1 + d2 > trunc:
-                        continue
-                    for w1, c1 in terms1:
-                        for w2, c2 in terms2:
-                            w = w1 + w2
-                            v = out.get(w, 0) + c1 * c2
-                            if v:
-                                out[w] = v
-                            else:
-                                del out[w]
-            den = den1 * den2
-            g = den
-            for c in out.values():
-                g = math.gcd(g, c)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                out = {w: c // g for w, c in out.items()}
-            cached = (den, out)
-            self.entries[word] = cached
-        return cached
-
-    def combine(self, n: int, int_coeffs: dict[Wd, int]) -> TensorSeries:
-        """sum of c_w * entry(w) as an exact rational series."""
-        used = [(c, self.entry(w)) for w, c in int_coeffs.items() if c]
-        lcm = 1
-        for _c, (den, _nums) in used:
-            lcm = lcm * den // math.gcd(lcm, den)
-        acc: dict[Wd, int] = {}
-        for c, (den, nums) in used:
-            f = c * (lcm // den)
-            for w, num in nums.items():
-                v = acc.get(w, 0) + f * num
-                if v:
-                    acc[w] = v
-                else:
-                    del acc[w]
-        return TensorSeries(n, self.trunc,
-                            {w: Fraction(v, lcm) for w, v in acc.items()})
 
 
 # words at least this long are evaluated through the integer Magnus route
@@ -271,7 +135,7 @@ class Expansion:
         self._word_cache: dict[tuple, TensorSeries] = {}
         # special_artin results by (input letters, max_degree)
         self._artin_cache: dict[tuple, object] = {}
-        self._scaled_tables: dict[int, _ScaledTable] = {}
+        self._substitutions: dict[int, Substitution] = {}
         self._speciality: SpecialityReport | None = None
 
     def __eq__(self, other) -> bool:
@@ -281,10 +145,11 @@ class Expansion:
     def evaluate(self, word: Word, trunc: int | None = None) -> TensorSeries:
         """theta(word), multiplicative over letters.
 
-        Short words multiply the cached generator images directly; long
-        words go through the integer Magnus route, which converts the word
-        once and spends one rational linear combination instead of one
-        dense series product per letter.
+        Short words multiply the cached generator images directly.  Long
+        words go through the integer Magnus route: the word's Magnus image
+        is computed once in integers, and ``magnus_substitution`` turns it
+        into theta(word) by one linear combination instead of one dense
+        series product per letter.
         """
         if word.n != self.n:
             raise ValueError("word rank does not match expansion")
@@ -293,16 +158,20 @@ class Expansion:
             raise ValueError("requested truncation exceeds the expansion's")
         if len(word.letters) >= _DENSE_EVAL_CUTOFF:
             image = magnus_integer(self.n, trunc, word.letters)
-            return self._scaled_table(trunc).combine(self.n, image)
+            return self.magnus_substitution(trunc).combine(image)
         return self._eval_letters(word.letters).truncate(trunc)
 
-    def _scaled_table(self, trunc: int) -> _ScaledTable:
-        table = self._scaled_tables.get(trunc)
-        if table is None:
-            table = self._scaled_tables[trunc] = _ScaledTable(
-                [img.truncate(trunc) - TensorSeries.one(self.n, trunc)
-                 for img in self.images], trunc)
-        return table
+    def magnus_substitution(self, trunc: int) -> Substitution:
+        """S(X_j) = theta(x_j) - 1 at truncation trunc, built once per truncation.
+
+        S sends the Magnus image of a word to its theta image.
+        """
+        sub = self._substitutions.get(trunc)
+        if sub is None:
+            one = TensorSeries.one(self.n, trunc)
+            sub = self._substitutions[trunc] = Substitution(
+                [img.truncate(trunc) - one for img in self.images])
+        return sub
 
     def _eval_letters(self, letters: tuple) -> TensorSeries:
         if not letters:
@@ -439,10 +308,15 @@ def is_special(theta: Expansion) -> SpecialityReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _correction_system(n: int, m: int):
-    """Presolved system and kernel basis for sum_i [X_i, u_i] = r, u_i in L_m."""
-    rows = bracket_map_matrix(n, m)
-    return linalg.PresolvedSystem(rows), linalg.nullspace(rows)
+def _correction_system(n: int, m: int) -> linalg.PresolvedSystem:
+    """Presolved system for sum_i [X_i, u_i] = r, u_i in L_m."""
+    return linalg.PresolvedSystem(bracket_map_matrix(n, m))
+
+
+@functools.lru_cache(maxsize=None)
+def _correction_kernel(n: int, m: int) -> list[list[Fraction]]:
+    """Kernel basis of the correction system; only the randomized strategy reads it."""
+    return linalg.nullspace(bracket_map_matrix(n, m))
 
 
 def build_special(n: int, trunc: int, strategy: str = "canonical",
@@ -495,16 +369,15 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
         domain = [(i, w) for i in range(1, n + 1) for w in lyndon_words(n, m)]
         codomain = lyndon_words(n, m + 1)
         cod_index = {w: k for k, w in enumerate(codomain)}
-        system, kernel = _correction_system(n, m)
         rhs = [Q0] * len(codomain)
         for w, c in top.coords.items():
             rhs[cod_index[w]] = c  # sum_i [u_i, X_i] = -top cancels top
-        solution = system.solve(rhs)
+        solution = _correction_system(n, m).solve(rhs)
         if solution is None:
             raise RuntimeError("corrector system inconsistent; the bracket "
                                "contraction should be onto")
         if rng is not None:
-            for kernel_vec in kernel:
+            for kernel_vec in _correction_kernel(n, m):
                 coeff = rng.randint(-2, 2)
                 if coeff:
                     solution = [s + coeff * v for s, v in zip(solution, kernel_vec)]

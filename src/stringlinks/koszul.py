@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -271,6 +272,21 @@ class NotACycleError(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True)
+class HomologyBlock:
+    """The homology data of one internal degree.
+
+    ``tuples`` orders the chain basis, and every vector is a coordinate
+    list over it; ``cycles`` is the dimension of the cycle space.
+    """
+
+    tuples: tuple[IndexTuple, ...]
+    tuple_index: dict[IndexTuple, int]
+    image_basis: list[list[Fraction]]
+    reps: list[list[Fraction]]
+    cycles: int
+
+
 class HomologyBasis:
     """Deterministic basis data for H_p of one nilpotent quotient.
 
@@ -286,16 +302,16 @@ class HomologyBasis:
         self.n = n
         self.degree_cap = degree_cap
         self.basis = nilpotent_basis(n, degree_cap)
-        self.blocks: dict[int, dict] = {}
+        self.blocks: dict[int, HomologyBlock] = {}
         self.rep_index: list[tuple[int, int]] = []  # (degree, index inside block)
         for d in range(p, p * degree_cap + 1):
             block = self._build_block(d)
             if block is not None:
                 self.blocks[d] = block
-                for k in range(len(block["reps"])):
+                for k in range(len(block.reps)):
                     self.rep_index.append((d, k))
 
-    def _build_block(self, d: int):
+    def _build_block(self, d: int) -> HomologyBlock | None:
         domain = exterior_basis(self.basis, self.p, d)
         if not domain:
             return None
@@ -311,13 +327,12 @@ class HomologyBasis:
         _, pivots = linalg.rref([[col[r] for col in candidates]
                                  for r in range(len(domain))])
         split = len(image_cols)
-        return {
-            "tuples": domain,
-            "tuple_index": {t: k for k, t in enumerate(domain)},
-            "image_basis": [image_cols[c] for c in pivots if c < split],
-            "reps": [kernel[c - split] for c in pivots if c >= split],
-            "cycles": len(kernel),
-        }
+        return HomologyBlock(
+            tuples=domain,
+            tuple_index={t: k for k, t in enumerate(domain)},
+            image_basis=[image_cols[c] for c in pivots if c < split],
+            reps=[kernel[c - split] for c in pivots if c >= split],
+            cycles=len(kernel))
 
     @property
     def dimension(self) -> int:
@@ -325,21 +340,21 @@ class HomologyBasis:
 
     def dimension_in_degree(self, d: int) -> int:
         block = self.blocks.get(d)
-        return len(block["reps"]) if block else 0
+        return len(block.reps) if block else 0
 
     def degree_table(self) -> dict[int, dict[str, int]]:
         """Per internal degree: chain, cycle, boundary and homology dimensions."""
-        return {d: {"chains": len(block["tuples"]), "cycles": block["cycles"],
-                    "boundaries": len(block["image_basis"]),
-                    "homology": len(block["reps"])}
+        return {d: {"chains": len(block.tuples), "cycles": block.cycles,
+                    "boundaries": len(block.image_basis),
+                    "homology": len(block.reps)}
                 for d, block in sorted(self.blocks.items())}
 
     def representative(self, k: int) -> ExteriorChain:
         d, inside = self.rep_index[k]
         block = self.blocks[d]
-        vec = block["reps"][inside]
+        vec = block.reps[inside]
         return ExteriorChain(self.basis, self.p,
-                             {t: c for t, c in zip(block["tuples"], vec) if c})
+                             {t: c for t, c in zip(block.tuples, vec) if c})
 
     def project(self, chain: ExteriorChain) -> "HomologyClass":
         """Class of a cycle; raises NotACycleError otherwise."""
@@ -351,19 +366,19 @@ class HomologyBasis:
         offset = 0
         for d in sorted(self.blocks):
             block = self.blocks[d]
-            nreps = len(block["reps"])
+            nreps = len(block.reps)
             component = chain.degree_component(d)
             if not component.is_zero():
-                target = [Q0] * len(block["tuples"])
+                target = [Q0] * len(block.tuples)
                 for t, c in component.coords.items():
-                    target[block["tuple_index"][t]] = c
-                columns = block["image_basis"] + block["reps"]
+                    target[block.tuple_index[t]] = c
+                columns = block.image_basis + block.reps
                 sol = linalg.solve_in_span(columns, target)
                 if sol is None:
                     raise RuntimeError("cycle failed to project; homology basis "
                                        "is corrupt")
                 for k in range(nreps):
-                    coords[offset + k] = sol[len(block["image_basis"]) + k]
+                    coords[offset + k] = sol[len(block.image_basis) + k]
             offset += nreps
         return HomologyClass(self, tuple(coords))
 
@@ -373,7 +388,7 @@ class HomologyBasis:
     def fingerprint(self) -> str:
         """Stable hash of the representative matrix, for cross-run comparison."""
         payload = repr((self.p, self.n, self.degree_cap,
-                        [(d, [[str(c) for c in rep] for rep in blk["reps"]])
+                        [(d, [[str(c) for c in rep] for rep in blk.reps])
                          for d, blk in sorted(self.blocks.items())]))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

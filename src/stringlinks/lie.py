@@ -92,18 +92,8 @@ def bracketing_str(w: Wd) -> str:
 
 # -- homogeneous tensor expansions of basis elements -------------------------
 
-@functools.lru_cache(maxsize=None)
-def _lyndon_tensor(w: Wd) -> dict[Wd, int]:
-    """Tensor coefficients of the standard bracketing of a Lyndon word.
-
-    These are always integers, and all the basis-level machinery here
-    stays in exact integer arithmetic; rationals only enter through
-    element coordinates.
-    """
-    if len(w) == 1:
-        return {w: 1}
-    u, v = standard_factorization(w)
-    a, b = _lyndon_tensor(u), _lyndon_tensor(v)
+def _commutator(a: dict[Wd, int], b: dict[Wd, int]) -> dict[Wd, int]:
+    """Tensor coefficients of ab - ba for integer tensors a and b."""
     out: dict[Wd, int] = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -117,21 +107,26 @@ def _lyndon_tensor(w: Wd) -> dict[Wd, int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _lyndon_tensor(w: Wd) -> dict[Wd, int]:
+    """Tensor coefficients of the standard bracketing of a Lyndon word.
+
+    These are always integers, and all the basis-level machinery here
+    stays in exact integer arithmetic; rationals only enter through
+    element coordinates.
+    """
+    if len(w) == 1:
+        return {w: 1}
+    u, v = standard_factorization(w)
+    return _commutator(_lyndon_tensor(u), _lyndon_tensor(v))
+
+
+@functools.lru_cache(maxsize=None)
 def _basis_bracket(wa: Wd, wb: Wd) -> tuple[tuple[Wd, int], ...]:
     """Lyndon coordinates of [beta(wa), beta(wb)]; integer by triangularity."""
     if wa == wb:
         return ()
-    out: dict[Wd, int] = {}
-    a, b = _lyndon_tensor(wa), _lyndon_tensor(wb)
-    for ua, ca in a.items():
-        for ub, cb in b.items():
-            for word, sign in ((ua + ub, 1), (ub + ua, -1)):
-                val = out.get(word, 0) + sign * ca * cb
-                if val:
-                    out[word] = val
-                else:
-                    del out[word]
-    return tuple(_extract_lyndon(out).items())
+    bracket = _commutator(_lyndon_tensor(wa), _lyndon_tensor(wb))
+    return tuple(_extract_lyndon(bracket).items())
 
 
 def _extract_lyndon(tensor: dict) -> dict:
@@ -179,20 +174,6 @@ class LieElement:
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
         return cls(n, {(i,): Q1})
-
-    @classmethod
-    def from_coords(cls, n: int, terms) -> "LieElement":
-        out: dict[Wd, Fraction] = {}
-        for w, c in terms:
-            w = tuple(w)
-            if not is_lyndon(w) or any(not 1 <= g <= n for g in w):
-                raise ValueError(f"{w} is not a Lyndon word over 1..{n}")
-            v = out.get(w, Q0) + Fraction(c)
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return cls(n, out)
 
     @classmethod
     def from_tensor(cls, series: TensorSeries) -> "LieElement":
@@ -351,9 +332,6 @@ class HTensorLie:
 
     def degrees(self) -> list[int]:
         return sorted({d for y in self.entries for d in y.degrees()})
-
-    def is_pure_degree(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def bracket_map(self) -> LieElement:
         """sum_i [X_i, Y_i], the value of the bracket contraction."""

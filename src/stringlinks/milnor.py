@@ -181,11 +181,9 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
 
     witnesses = [u.truncate(trunc) for u in report.witnesses]
     witness_inverses = [u.inverse() for u in witnesses]
-    table = theta._scaled_table(trunc)
-    tails = []
-    for i, image in enumerate(longitude_magnus_images(data, trunc)):
-        theta_y = table.combine(n, image)
-        tails.append(theta_y * witnesses[i])
+    to_theta = theta.magnus_substitution(trunc)
+    tails = [to_theta.combine(image) * witnesses[i]
+             for i, image in enumerate(longitude_magnus_images(data, trunc))]
 
     entries = tuple(LieElement.zero(n) for _ in range(n))
     for round_ in range(max_degree + 2):

@@ -6,6 +6,13 @@ truncation degree is an explicit part of every value: operations on
 series with different (n, trunc) raise instead of silently re-truncating;
 ``truncate`` exists for deliberate reductions.
 
+All series arithmetic of the library runs through one kernel here, which
+works on coefficient dicts grouped by degree and serves Fraction series
+and the integer Magnus images alike: ``convolve`` is the one truncated
+product, ``power_series`` the one loop summing a(m) v^m (behind exp, log
+and inverse), and ``Substitution`` the one table of word images, kept as
+integer numerators over a denominator.
+
 The Hopf structure is the one for which the generators are primitive:
 ``Delta(X_i) = X_i @ 1 + 1 @ X_i`` extended multiplicatively, so the
 coproduct of a word is the sum of its ordered subword splittings.  The
@@ -15,12 +22,69 @@ truncated at the ambient degree.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 Wd = tuple[int, ...]
+
+
+def by_degree(coeffs: dict) -> dict[int, list]:
+    """The terms of a coefficient dict grouped by word length."""
+    buckets: dict[int, list] = {}
+    for w, c in coeffs.items():
+        buckets.setdefault(len(w), []).append((w, c))
+    return buckets
+
+
+def convolve(left: dict[int, list], right: dict[int, list], trunc: int,
+             out: dict | None = None) -> dict:
+    """The product of two series given as degree buckets, through degree trunc.
+
+    Coefficients are ints or Fractions and must be nonzero; pairs whose
+    degrees sum past trunc are skipped a bucket pair at a time.  The
+    product is added into ``out`` when one is given.  Coefficients that
+    cancel are dropped, so the result again holds no zeros.
+    """
+    out = {} if out is None else out
+    get = out.get
+    for d1, terms1 in left.items():
+        for d2, terms2 in right.items():
+            if d1 + d2 > trunc:
+                continue
+            for w1, c1 in terms1:
+                for w2, c2 in terms2:
+                    w = w1 + w2
+                    v = get(w)
+                    if v is None:
+                        out[w] = c1 * c2
+                    else:
+                        v += c1 * c2
+                        if v:
+                            out[w] = v
+                        else:
+                            del out[w]
+    return out
+
+
+def power_series(buckets: dict[int, list], coefficients: list, trunc: int) -> dict:
+    """sum_m coefficients[m] * v^m through degree trunc.
+
+    v is the series given by ``buckets`` without its constant term, and
+    ``coefficients`` lists a(0), ..., a(trunc), all nonzero from a(1) on.
+    The powers stop early once they vanish.
+    """
+    right = {d: terms for d, terms in buckets.items() if d}
+    out = {(): coefficients[0]} if coefficients[0] else {}
+    power = {0: [((), 1)]}
+    for m in range(1, trunc + 1):
+        power = by_degree(convolve(power, right, trunc))
+        if not power:
+            break
+        convolve(power, {0: [((), coefficients[m])]}, trunc, out)  # a(m) v^m
+    return out
 
 
 class TensorSeries:
@@ -125,15 +189,7 @@ class TensorSeries:
         return TensorSeries(self.n, self.trunc, out)
 
     def __sub__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            v = out.get(w, Q0) - c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return TensorSeries(self.n, self.trunc, out)
+        return self + other.scale(-1)
 
     def __neg__(self) -> "TensorSeries":
         return self.scale(-1)
@@ -147,76 +203,38 @@ class TensorSeries:
 
     def _by_degree(self) -> dict[int, list[tuple[Wd, Fraction]]]:
         """Terms grouped by degree, computed once per series (coeffs never change)."""
-        buckets = self._buckets
-        if buckets is None:
-            buckets = {}
-            for w, c in self.coeffs.items():
-                buckets.setdefault(len(w), []).append((w, c))
-            self._buckets = buckets
-        return buckets
+        if self._buckets is None:
+            self._buckets = by_degree(self.coeffs)
+        return self._buckets
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
         self._check(other)
-        trunc = self.trunc
-        out: dict[Wd, Fraction] = {}
-        get = out.get
-        right = other._by_degree()
-        for d1, terms1 in self._by_degree().items():
-            for d2, terms2 in right.items():
-                if d1 + d2 > trunc:
-                    continue
-                for w1, c1 in terms1:
-                    for w2, c2 in terms2:
-                        w = w1 + w2
-                        v = get(w, Q0) + c1 * c2
-                        if v:
-                            out[w] = v
-                        else:
-                            del out[w]
-        return TensorSeries(self.n, self.trunc, out)
+        return TensorSeries(self.n, self.trunc, convolve(
+            self._by_degree(), other._by_degree(), self.trunc))
+
+    def _power_series(self, coefficients: list[Fraction]) -> "TensorSeries":
+        return TensorSeries(self.n, self.trunc, power_series(
+            self._by_degree(), coefficients, self.trunc))
 
     def inverse(self) -> "TensorSeries":
         """Multiplicative inverse; requires constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("inverse requires constant term 1")
-        v = self - TensorSeries.one(self.n, self.trunc)
-        out = TensorSeries.one(self.n, self.trunc)
-        power = TensorSeries.one(self.n, self.trunc)
-        for m in range(1, self.trunc + 1):
-            power = power * v
-            if power.is_zero():
-                break
-            out = out + power.scale((-1) ** m)
-        return out
+        return self._power_series([Fraction((-1) ** m) for m in range(self.trunc + 1)])
 
     def exp(self) -> "TensorSeries":
         """exp of a series with zero constant term."""
         if self.constant_term() != 0:
             raise ValueError("exp requires zero constant term")
-        out = TensorSeries.one(self.n, self.trunc)
-        power = TensorSeries.one(self.n, self.trunc)
-        fact = 1
-        for m in range(1, self.trunc + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            fact *= m
-            out = out + power.scale(Fraction(1, fact))
-        return out
+        return self._power_series(
+            [Fraction(1, math.factorial(m)) for m in range(self.trunc + 1)])
 
     def log(self) -> "TensorSeries":
         """log of a series with constant term 1."""
         if self.constant_term() != 1:
             raise ValueError("log requires constant term 1")
-        v = self - TensorSeries.one(self.n, self.trunc)
-        out = TensorSeries.zero(self.n, self.trunc)
-        power = TensorSeries.one(self.n, self.trunc)
-        for m in range(1, self.trunc + 1):
-            power = power * v
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction((-1) ** (m - 1), m))
-        return out
+        return self._power_series(
+            [Q0] + [Fraction((-1) ** (m - 1), m) for m in range(1, self.trunc + 1)])
 
     # -- Hopf predicates ----------------------------------------------------
 
@@ -291,9 +309,13 @@ def bch(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 class Substitution:
     """The algebra endomorphism X_i |-> images[i-1], reusable across calls.
 
-    Word images are built by extending a memoised prefix table, so the cost
-    is one series product per distinct word prefix ever encountered; the
-    table persists for the lifetime of the object.
+    The image of each word is kept in a memoised prefix table as integer
+    numerators over one gcd-reduced denominator, and a new prefix costs
+    one ``convolve`` with a generator image; the table persists for the
+    lifetime of the object.  Applying the substitution to coefficients
+    c_w is then one integer linear combination over the common
+    denominator, for rational series (``__call__``) and integer Magnus
+    images (``combine``) alike.
     """
 
     def __init__(self, images: list[TensorSeries]):
@@ -306,25 +328,45 @@ class Substitution:
             images[0]._check(img)
         self.n = n
         self.trunc = trunc
-        self.images = list(images)
-        self._table: dict[Wd, TensorSeries] = {(): TensorSeries.one(n, trunc)}
+        self._generators = []  # (den, numerator buckets) of each image
+        for img in images:
+            den = math.lcm(*(c.denominator for c in img.coeffs.values()))
+            self._generators.append(
+                (den, by_degree({w: int(c * den) for w, c in img.coeffs.items()})))
+        self._table: dict[Wd, tuple[int, dict[Wd, int]]] = {(): (1, {(): 1})}
 
-    def _image_of(self, word: Wd) -> TensorSeries:
+    def _entry(self, word: Wd) -> tuple[int, dict[Wd, int]]:
+        """(den, nums) with the product of the images along word = nums / den."""
         cached = self._table.get(word)
         if cached is None:
-            cached = self._image_of(word[:-1]) * self.images[word[-1] - 1]
-            self._table[word] = cached
+            den, nums = self._entry(word[:-1])
+            gen_den, gen_terms = self._generators[word[-1] - 1]
+            nums = convolve(by_degree(nums), gen_terms, self.trunc)
+            den *= gen_den
+            g = math.gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {w: c // g for w, c in nums.items()}
+            cached = self._table[word] = (den, nums)
         return cached
 
     def __call__(self, series: TensorSeries) -> TensorSeries:
         if series.n != self.n or series.trunc != self.trunc:
             raise ValueError("series lives in the wrong tensor algebra")
-        out: dict[Wd, Fraction] = {}
-        for w, c in series.coeffs.items():
-            for ww, cc in self._image_of(w).coeffs.items():
-                v = out.get(ww, Q0) + c * cc
+        return self.combine(series.coeffs)
+
+    def combine(self, coeffs: dict) -> TensorSeries:
+        """sum_w coeffs[w] * (image of w), for int or Fraction coefficients."""
+        terms = [(c, self._entry(w)) for w, c in coeffs.items()]
+        lcm = math.lcm(*(c.denominator * den for c, (den, _) in terms))
+        acc: dict[Wd, int] = {}
+        for c, (den, nums) in terms:
+            f = c.numerator * (lcm // (c.denominator * den))
+            for w, num in nums.items():
+                v = acc.get(w, 0) + f * num
                 if v:
-                    out[ww] = v
+                    acc[w] = v
                 else:
-                    del out[ww]
-        return TensorSeries(self.n, self.trunc, out)
+                    del acc[w]
+        return TensorSeries(self.n, self.trunc,
+                            {w: Fraction(v, lcm) for w, v in acc.items()})

@@ -70,7 +70,12 @@ def test_milnor_parse_error_exit_code(capsys):
     {"truncation": None, "words": [[], []]},
     [[], []],
     {"n": 2, "truncation": None, "words": [[[1]], []]},
-], ids=["no-n", "top-level-list", "letter-without-exponent"])
+    {"n": 2, "truncation": None, "words": [[[7, 1]], []]},
+    {"n": 2, "truncation": None, "words": [[[2, 3]], []]},
+    {"n": 0, "truncation": None, "words": []},
+    {"n": 2, "truncation": None, "words": [[]]},
+], ids=["no-n", "top-level-list", "letter-without-exponent",
+        "generator-out-of-range", "exponent-3", "n-zero", "too-few-words"])
 def test_malformed_longitude_file_exit_code(capsys, tmp_path, doc):
     path = tmp_path / "longitudes.json"
     path.write_text(json.dumps(doc))
@@ -80,12 +85,35 @@ def test_malformed_longitude_file_exit_code(capsys, tmp_path, doc):
     assert "parse error" in err
 
 
+MAGNUS_X1 = [{"word": [], "coefficient": "1"}, {"word": [1], "coefficient": "1"}]
+
+
 def test_malformed_expansion_file_exit_code(capsys, tmp_path):
     path = tmp_path / "theta.json"
-    path.write_text(json.dumps([[{"word": [1], "coefficient": "1"}]]))
-    code, _, err = run(capsys, "expansion", "check", str(path))
-    assert code == EXIT_PARSE
-    assert "parse error" in err
+    for doc in ([[{"word": [1], "coefficient": "1"}]],  # top level is a list
+                {"n": 2, "truncation": 2, "images": [MAGNUS_X1]},  # too few images
+                {"n": 1, "truncation": 2,  # letter out of range
+                 "images": [MAGNUS_X1 + [{"word": [5], "coefficient": "1"}]]},
+                {"n": 1, "truncation": 0, "images": [MAGNUS_X1]}):
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "expansion", "check", str(path))
+        assert code == EXIT_PARSE, doc
+        assert "parse error" in err
+
+
+def test_well_formed_files_failing_preconditions_exit_code(capsys, tmp_path):
+    longitudes = tmp_path / "longitudes.json"
+    longitudes.write_text(json.dumps({"n": 3, "truncation": None,
+                                      "words": [[], [], []]}))
+    code, _, _ = run(capsys, "milnor", "--longitude-file", str(longitudes),
+                     "--n", "2", "--k", "1")
+    assert code == EXIT_PRECONDITION
+    theta = tmp_path / "theta.json"  # image of x_1 is 1 + 2 X_1
+    theta.write_text(json.dumps({"n": 1, "truncation": 2, "images": [[
+        {"word": [], "coefficient": "1"}, {"word": [1], "coefficient": "2"}]]}))
+    code, _, err = run(capsys, "expansion", "check", str(theta))
+    assert code == EXIT_PRECONDITION
+    assert "Magnus condition" in err
 
 
 def test_directory_input_file_exit_code(capsys, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringlinks.tensor import Substitution, TensorSeries, bch
+from stringlinks.tensor import Substitution, TensorSeries, bch, by_degree, convolve
 
 from support import seeded
 
@@ -151,6 +151,35 @@ def test_substitution_object_reusable():
     b = gen(n, N, 1) * gen(n, N, 2)
     assert sub(a) == gen(n, N, 2) * gen(n, N, 2)
     assert sub(b) == gen(n, N, 2) * gen(n, N, 1)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3, 6)))
+
+
+def rational_series(n, N, min_degree):
+    words = st.lists(st.integers(1, n), min_size=min_degree, max_size=N).map(tuple)
+    return st.dictionaries(words, RATIONALS, max_size=12).map(
+        lambda coeffs: TensorSeries.from_terms(n, N, coeffs.items()))
+
+
+@given(st.lists(rational_series(2, 4, 1), min_size=2, max_size=2),
+       rational_series(2, 4, 0), rational_series(2, 4, 0))
+@settings(max_examples=40, deadline=None)
+def test_substitution_with_rational_images(images, s, t):
+    n, N = 2, 4
+    expected = TensorSeries.zero(n, N)
+    for w, c in s.coeffs.items():
+        term = one(n, N)
+        for g in w:
+            term = term * images[g - 1]
+        expected = expected + term.scale(c)
+    assert Substitution(images)(s) == expected
+    # the shared convolution agrees on int numerators and on Fractions
+    ints = [{w: int(6 * c) for w, c in x.coeffs.items()} for x in (s, t)]
+    int_product = convolve(by_degree(ints[0]), by_degree(ints[1]), N)
+    assert all(type(c) is int for c in int_product.values())
+    fraction_product = convolve(by_degree(s.coeffs), by_degree(t.coeffs), N)
+    assert {w: Fraction(c, 36) for w, c in int_product.items()} == fraction_product
 
 
 def test_rendering():
