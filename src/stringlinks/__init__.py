@@ -6,14 +6,14 @@ __version__ = "0.1.0"
 
 from .words import (Braid, LongitudeTuple, Word, artin_action, braid_commutator,
                     commutator, longitudes, pure_braid_relations)
-from .tensor import Substitution, TensorSeries, bch
-from .lie import (HTensorLie, LieElement, bracket_map_matrix, conjugating_element,
-                  d_dimension, lyndon_words, witt_dim)
+from .tensor import Substitution, TensorSeries
+from .lie import (HTensorLie, LieElement, bch, bracket_map_matrix, conjugating_element,
+                  conjugator, d_dimension, lyndon_words, witt_dim)
 from .expansions import (Expansion, SpecialityReport, build_special, exp_expansion,
                          filtration_degree, is_grouplike_expansion, is_special,
                          magnus_expansion)
-from .milnor import (FiltrationError, SpecialAutData, conjugator, milnor_degree,
-                     special_artin, total_milnor, truncated_milnor)
+from .milnor import (FiltrationError, SpecialAutData, milnor_degree, special_artin,
+                     total_milnor, truncated_milnor)
 from .trees import (ScaleError, TreeCombination, TreeDiagram, enumerate_trees,
                     eta, eta_combination, eta_inverse, fission,
                     fission_combination)

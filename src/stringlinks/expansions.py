@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .lie import (LieElement, bracket_map_matrix, conjugating_element,
+from .lie import (LieElement, bracket_map_matrix, conjugator, is_grouplike,
                   lyndon_words)
 from .tensor import (Q0, Q1, Substitution, TensorSeries, Wd, by_degree, convolve,
                      power_series)
@@ -238,7 +238,7 @@ def exp_expansion(n: int, trunc: int) -> Expansion:
 
 
 def is_grouplike_expansion(theta: Expansion) -> bool:
-    return all(img.is_grouplike() for img in theta.images)
+    return all(is_grouplike(img) for img in theta.images)
 
 
 @dataclass
@@ -262,49 +262,42 @@ class SpecialityReport:
 def is_special(theta: Expansion) -> SpecialityReport:
     """Verify the tangential and normalised conditions from first principles.
 
-    Independent of ``build_special``: conjugators are re-derived by the
-    degree-by-degree conjugacy solver and the boundary identity is checked
-    by direct evaluation.
+    Group-likeness is decided by the Lyndon extraction of log theta(x_i)
+    inside ``conjugator``, the same extraction ``build_special`` runs.  Two
+    checks stay independent of ``build_special``: the conjugators are
+    re-derived by the degree-by-degree conjugacy solver, and the boundary
+    identity is checked by direct evaluation.  The report is computed once
+    per expansion.
     """
-    if theta._speciality is not None:
-        return theta._speciality
+    if theta._speciality is None:
+        theta._speciality = _speciality(theta)
+    return theta._speciality
+
+
+def _speciality(theta: Expansion) -> SpecialityReport:
     n, trunc = theta.n, theta.trunc
-
-    grouplike = is_grouplike_expansion(theta)
-    if not grouplike:
-        bad = next(i for i, img in enumerate(theta.images, start=1)
-                   if not img.is_grouplike())
-        report = SpecialityReport(False, False, False, False, None,
-                                  failure=f"theta(x_{bad}) is not group-like")
-        theta._speciality = report
-        return report
-
     witnesses = []
-    for i in range(1, n + 1):
-        target = LieElement.from_tensor(theta.images[i - 1].log())
+    not_tangential = None  # the first failure; later images may not be group-like
+    for i, image in enumerate(theta.images, start=1):
         try:
-            z = conjugating_element(target, i, trunc - 1)
+            witnesses.append(conjugator(image, i).to_tensor(trunc).exp())
         except ValueError as exc:
-            report = SpecialityReport(False, True, False, False, None,
-                                      failure=f"theta(x_{i}) not tangential: {exc}")
-            theta._speciality = report
-            return report
-        witnesses.append(z.to_tensor(trunc).exp())
+            if not is_grouplike(image):
+                return SpecialityReport(False, False, False, False, None,
+                                        failure=f"theta(x_{i}) is not group-like")
+            not_tangential = not_tangential or f"theta(x_{i}) not tangential: {exc}"
+    if not_tangential:
+        return SpecialityReport(False, True, False, False, None, failure=not_tangential)
 
     target = TensorSeries.zero(n, trunc)
     for i in range(1, n + 1):
         target = target + TensorSeries.generator(n, trunc, i)
     defect = theta.boundary_image() - target.exp()
     if not defect.is_zero():
-        report = SpecialityReport(False, True, True, False, tuple(witnesses),
-                                  failure="normalised condition fails",
-                                  failure_degree=defect.min_degree())
-        theta._speciality = report
-        return report
-
-    report = SpecialityReport(True, True, True, True, tuple(witnesses))
-    theta._speciality = report
-    return report
+        return SpecialityReport(False, True, True, False, tuple(witnesses),
+                                failure="normalised condition fails",
+                                failure_degree=defect.min_degree())
+    return SpecialityReport(True, True, True, True, tuple(witnesses))
 
 
 @functools.lru_cache(maxsize=None)

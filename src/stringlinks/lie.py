@@ -11,11 +11,18 @@ coefficient 1 on w itself.  ``LieElement.from_tensor`` exploits this to
 convert any primitive series back to Lyndon coordinates by repeatedly
 stripping the smallest remaining word; a non-Lyndon minimal word proves
 the input was not a Lie element.
+
+This extraction is the library's only test of Lie-ness and, through
+Friedrichs' criterion (over Q, a series with constant term 1 is
+group-like exactly when its log is a Lie series), of group-likeness:
+``is_primitive``, ``is_grouplike``, ``bch`` and ``conjugator`` all
+decide through it.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,23 +140,53 @@ def _extract_lyndon(tensor: dict) -> dict:
     """Triangular extraction of Lyndon coordinates from a Lie tensor.
 
     Works over any exact coefficient domain (int or Fraction): the
-    triangular system is unipotent, so no division ever happens.
+    triangular system is unipotent, so no division ever happens.  Words
+    leave a heap in (length, word) order; stripping a word only adds
+    larger words, so each popped word that is still in the residue is its
+    smallest one, and a word is pushed only when it enters the residue.
     """
     residue = dict(tensor)
+    heap = [(len(w), w) for w in residue]
+    heapq.heapify(heap)
     coords: dict = {}
-    while residue:
-        w = min(residue, key=lambda t: (len(t), t))
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = residue.get(w)
+        if c is None:
+            continue  # stale: the word cancelled out after it was pushed
         if not is_lyndon(w):
             raise ValueError(f"series is not a Lie element (stray word {w})")
-        c = residue[w]
         coords[w] = c
         for word, cw in _lyndon_tensor(w).items():
+            if word not in residue:
+                heapq.heappush(heap, (len(word), word))
             val = residue.get(word, 0) - c * cw
             if val:
                 residue[word] = val
             else:
                 residue.pop(word, None)
     return coords
+
+
+def is_primitive(series: TensorSeries) -> bool:
+    """Whether series is a Lie element: constant term 0 and a complete extraction."""
+    try:
+        LieElement.from_tensor(series)
+    except ValueError:
+        return False
+    return True
+
+
+def is_grouplike(series: TensorSeries) -> bool:
+    """Friedrichs' criterion: constant term 1 and a Lie series as log."""
+    return series.constant_term() == 1 and is_primitive(series.log())
+
+
+def bch(a: TensorSeries, b: TensorSeries) -> TensorSeries:
+    """log(exp(a) exp(b)) for primitive a, b; the result is again primitive."""
+    if not is_primitive(a) or not is_primitive(b):
+        raise ValueError("bch requires primitive arguments")
+    return (a.exp() * b.exp()).log()
 
 
 # -- Lie elements -------------------------------------------------------------
@@ -428,6 +465,19 @@ def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieEleme
             update.pop((i,), None)  # normalisation: no X_i component
         y = y + LieElement(n, update)
     return y
+
+
+def conjugator(series: TensorSeries, i: int) -> LieElement:
+    """The normalised Y with exp(Y) exp(X_i) exp(-Y) = series through trunc.
+
+    The input must be group-like and conjugate to exp(X_i); the result is
+    unique once the X_i coordinate of Y is pinned to zero.  Determined
+    through degree trunc - 1 (the top-degree component of Y would need one
+    degree beyond the truncation).  A series that is not group-like fails
+    the Lyndon extraction of its log, which raises ValueError.
+    """
+    target = LieElement.from_tensor(series.log())
+    return conjugating_element(target, i, series.trunc - 1)
 
 
 def _exp_ad(y: LieElement, i: int, trunc: int) -> LieElement:

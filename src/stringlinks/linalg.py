@@ -139,9 +139,3 @@ class PresolvedSystem:
         for k, p in enumerate(self.pivots):
             x[p] = reduced[k]
         return x
-
-
-def column_rank(columns: list[Vector]) -> int:
-    if not columns:
-        return 0
-    return rank([[col[r] for col in columns] for r in range(len(columns[0]))])

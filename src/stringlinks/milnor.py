@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .expansions import (Expansion, is_special, longitude_magnus_images,
                          magnus_expansion)
-from .lie import HTensorLie, LieElement, conjugating_element
+from .lie import HTensorLie, LieElement
 from .tensor import Substitution, TensorSeries
 from .words import Braid, LongitudeTuple, Word, longitudes
 
@@ -116,20 +116,6 @@ class SpecialAutData:
 
     def invariant(self) -> HTensorLie:
         return HTensorLie(self.n, self.entries)
-
-
-def conjugator(series: TensorSeries, i: int) -> LieElement:
-    """The normalised Y with exp(Y) exp(X_i) exp(-Y) = series through trunc.
-
-    The input must be group-like and conjugate to exp(X_i); the result is
-    unique once the X_i coordinate of Y is pinned to zero.  Determined
-    through degree trunc - 1 (the top-degree component of Y would need one
-    degree beyond the truncation).
-    """
-    if not series.is_grouplike():
-        raise ValueError("conjugator requires a group-like series")
-    target = LieElement.from_tensor(series.log())
-    return conjugating_element(target, i, series.trunc - 1)
 
 
 def _as_longitudes(data: Braid | LongitudeTuple) -> LongitudeTuple:

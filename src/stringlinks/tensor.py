@@ -13,11 +13,10 @@ product, ``power_series`` the one loop summing a(m) v^m (behind exp, log
 and inverse), and ``Substitution`` the one table of word images, kept as
 integer numerators over a denominator.
 
-The Hopf structure is the one for which the generators are primitive:
-``Delta(X_i) = X_i @ 1 + 1 @ X_i`` extended multiplicatively, so the
-coproduct of a word is the sum of its ordered subword splittings.  The
-primitivity and group-likeness predicates check that coproduct directly,
-truncated at the ambient degree.
+The Hopf structure (generators primitive) has no code here, and this
+module knows nothing of Lie structure: ``lie`` decides primitivity and
+group-likeness by Lyndon extraction (Friedrichs' criterion) and holds
+``bch``.
 """
 
 from __future__ import annotations
@@ -236,50 +235,6 @@ class TensorSeries:
         return self._power_series(
             [Q0] + [Fraction((-1) ** (m - 1), m) for m in range(1, self.trunc + 1)])
 
-    # -- Hopf predicates ----------------------------------------------------
-
-    def coproduct(self) -> dict[tuple[Wd, Wd], Fraction]:
-        """The truncated coproduct as a map (left word, right word) -> coeff.
-
-        Delta(w) for a word w is the sum over all subsets S of positions of
-        (w restricted to S) tensor (w restricted to the complement).
-        """
-        out: dict[tuple[Wd, Wd], Fraction] = {}
-        for w, c in self.coeffs.items():
-            d = len(w)
-            for mask in range(1 << d):
-                left = tuple(w[k] for k in range(d) if mask >> k & 1)
-                right = tuple(w[k] for k in range(d) if not mask >> k & 1)
-                key = (left, right)
-                v = out.get(key, Q0) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return out
-
-    def is_primitive(self) -> bool:
-        if self.constant_term() != 0:
-            return False
-        for (left, right), c in self.coproduct().items():
-            if left and right and c:
-                return False
-        return True
-
-    def is_grouplike(self) -> bool:
-        if self.constant_term() != 1:
-            return False
-        cop = self.coproduct()
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in self.coeffs.items():
-                if len(w1) + len(w2) > self.trunc:
-                    continue
-                if cop.pop((w1, w2), Q0) != c1 * c2:
-                    return False
-        # anything left over in the coproduct support must have been zero
-        return all(len(l) + len(r) > self.trunc or c == 0
-                   for (l, r), c in cop.items())
-
     # -- rendering -----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Wd, Fraction]]:
@@ -296,14 +251,6 @@ class TensorSeries:
 
     def __repr__(self) -> str:
         return f"TensorSeries(n={self.n}, trunc={self.trunc}, {len(self.coeffs)} terms)"
-
-
-def bch(a: TensorSeries, b: TensorSeries) -> TensorSeries:
-    """log(exp(a) exp(b)) for primitive a, b; the result is again primitive."""
-    a._check(b)
-    if not a.is_primitive() or not b.is_primitive():
-        raise ValueError("bch requires primitive arguments")
-    return (a.exp() * b.exp()).log()
 
 
 class Substitution:

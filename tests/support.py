@@ -1,11 +1,13 @@
-"""Shared helpers for the test suite: cached expansions and braid corpora."""
+"""Shared helpers for the test suite: cached expansions, braid corpora and
+reference oracles that share no code with the library's own decisions."""
 
 from __future__ import annotations
 
 import functools
 import random
 
-from stringlinks import Braid, build_special, filtration_degree
+from stringlinks import Braid, build_special, filtration_degree, linalg
+from stringlinks.tensor import Q0
 from stringlinks.words import braid_commutator
 
 
@@ -66,3 +68,60 @@ def nested_commutator_corpus(n=3):
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+# -- reference oracles -----------------------------------------------------------
+#
+# The library decides primitivity and group-likeness by Lyndon extraction
+# (Friedrichs' criterion).  These oracles decide them from the coproduct
+# for which the generators are primitive, Delta(X_i) = X_i @ 1 + 1 @ X_i,
+# so tests of builders and of bch stay independent of that extraction.
+
+def coproduct(series):
+    """The truncated coproduct as a map (left word, right word) -> coeff.
+
+    Delta(w) for a word w is the sum over all subsets S of positions of
+    (w restricted to S) tensor (w restricted to the complement).
+    """
+    out = {}
+    for w, c in series.coeffs.items():
+        d = len(w)
+        for mask in range(1 << d):
+            left = tuple(w[k] for k in range(d) if mask >> k & 1)
+            right = tuple(w[k] for k in range(d) if not mask >> k & 1)
+            key = (left, right)
+            v = out.get(key, Q0) + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def is_primitive_by_coproduct(series):
+    """Delta(s) = s @ 1 + 1 @ s, with zero constant term."""
+    if series.constant_term() != 0:
+        return False
+    return all(not (left and right) for left, right in coproduct(series))
+
+
+def is_grouplike_by_coproduct(series):
+    """Delta(g) = g @ g through the truncation, with constant term 1."""
+    if series.constant_term() != 1:
+        return False
+    cop = coproduct(series)
+    for w1, c1 in series.coeffs.items():
+        for w2, c2 in series.coeffs.items():
+            if len(w1) + len(w2) > series.trunc:
+                continue
+            if cop.pop((w1, w2), Q0) != c1 * c2:
+                return False
+    # anything left over in the coproduct support must lie past the truncation
+    return all(len(left) + len(right) > series.trunc for left, right in cop)
+
+
+def column_rank(columns):
+    """Rank of the matrix with the given columns."""
+    if not columns:
+        return 0
+    return linalg.rank([[col[r] for col in columns] for r in range(len(columns[0]))])

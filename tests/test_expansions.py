@@ -12,7 +12,7 @@ from stringlinks.lie import LieElement
 from stringlinks.tensor import TensorSeries
 from stringlinks.words import Braid, Word, braid_commutator, longitudes
 
-from support import random_braid, seeded, shared_expansion
+from support import is_grouplike_by_coproduct, random_braid, seeded, shared_expansion
 
 
 def test_magnus_images():
@@ -42,6 +42,29 @@ def test_exp_expansion_inverse_law():
 def test_magnus_not_grouplike():
     assert not is_grouplike_expansion(magnus_expansion(2, 2))
     assert is_grouplike_expansion(exp_expansion(2, 4))
+
+
+def test_speciality_failure_reports():
+    x1, x2 = (TensorSeries.generator(2, 4, i) for i in (1, 2))
+    # exp(X1 + [X2, [X2, X1]]) is group-like, but [X1, u] = [X2, [X2, X1]]
+    # has no solution u, so it is not a conjugate of exp(X1)
+    twisted = (x1 + LieElement(2, {(1, 2, 2): Fraction(1)}).to_tensor(4)).exp()
+    cases = [
+        ((x1.exp() + x1 * x2, x2.exp()),
+         (False, False, False, None, "theta(x_1) is not group-like")),
+        ((twisted, x2.exp()),
+         (False, True, False, None, "theta(x_1) not tangential: target is not "
+                                    "conjugate to X1: obstruction in degree 3")),
+        # the group-likeness verdict outranks an earlier tangential failure
+        ((twisted, x2.exp() + x1 * x2),
+         (False, False, False, None, "theta(x_2) is not group-like")),
+    ]
+    for images, (special, grouplike, tangential, witnesses, failure) in cases:
+        report = is_special(Expansion(2, 4, images))
+        assert (report.is_special, report.grouplike, report.tangential,
+                report.normalized, report.witnesses, report.failure,
+                report.failure_degree) == (special, grouplike, tangential, False,
+                                           witnesses, failure, None)
 
 
 def test_exp_expansion_is_special_for_n1():
@@ -78,7 +101,7 @@ def test_build_special_small():
             u = report.witnesses[i - 1]
             conj = u * TensorSeries.generator(n, trunc, i).exp() * u.inverse()
             assert conj == theta.images[i - 1]
-            assert u.is_grouplike()
+            assert is_grouplike_by_coproduct(u)
 
 
 def test_build_special_pinned_output():

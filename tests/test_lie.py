@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringlinks import linalg
-from stringlinks.lie import (HTensorLie, LieElement, bracket_map_matrix,
+from stringlinks.lie import (HTensorLie, LieElement, bch, bracket_map_matrix,
                              bracketing_str, conjugating_element, d_dimension,
-                             is_lyndon, lyndon_words, witt_dim, _exp_ad)
-from stringlinks.tensor import TensorSeries, bch
+                             is_grouplike, is_lyndon, is_primitive, lyndon_words,
+                             witt_dim, _exp_ad)
+from stringlinks.tensor import TensorSeries
 
-from support import seeded
+from support import is_grouplike_by_coproduct, is_primitive_by_coproduct, seeded
 
 
 def random_lie(n, degrees, rng, density=0.4, max_coeff=3):
@@ -103,7 +104,7 @@ def test_tensor_round_trip():
     for _ in range(10):
         a = random_lie(3, [1, 2, 3, 4], rng)
         assert LieElement.from_tensor(a.to_tensor(4)) == a
-        assert a.to_tensor(5).is_primitive()
+        assert is_primitive_by_coproduct(a.to_tensor(5))
 
 
 def test_from_tensor_of_bch():
@@ -118,6 +119,25 @@ def test_from_tensor_rejects_non_lie():
     s = TensorSeries.generator(2, 3, 1) * TensorSeries.generator(2, 3, 2)
     with pytest.raises(ValueError):
         LieElement.from_tensor(s)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_extraction_agrees_with_coproduct_oracle(seed, n, trunc):
+    # Friedrichs' criterion against the coproduct on Lie series, their
+    # exponentials, and both with one word of degree >= 2 added
+    rng = seeded(seed)
+    lie = random_lie(n, range(1, trunc + 1), rng, density=0.2).to_tensor(trunc)
+    word = tuple(rng.randint(1, n) for _ in range(rng.randint(2, trunc)))
+    stray = TensorSeries.from_terms(n, trunc, [(word, rng.choice([-2, -1, 1, 2]))])
+    for series, expected in ((lie, True), (lie + stray, False)):
+        assert is_primitive(series) is expected
+        assert is_primitive_by_coproduct(series) is expected
+    group = lie.exp()
+    for series, expected in ((group, True), (group + stray, False)):
+        assert is_grouplike(series) is expected
+        assert is_grouplike_by_coproduct(series) is expected
 
 
 def test_bracket_map_and_kernel():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from stringlinks.cli import parse_braid
-from stringlinks.lie import HTensorLie, LieElement, conjugating_element
-from stringlinks.milnor import (FiltrationError, SpecialAutData, conjugator,
+from stringlinks.lie import HTensorLie, LieElement, conjugating_element, conjugator
+from stringlinks.milnor import (FiltrationError, SpecialAutData,
                                 infinitesimal_artin_series, milnor_degree,
                                 special_artin, total_milnor, truncated_milnor)
 from stringlinks.tensor import TensorSeries
