@@ -17,9 +17,10 @@ commutators and may nest and carry powers.  Longitude tuples come from
 JSON files: {"n": ..., "truncation": ..., "words": [[gen, exp], ...] per
 strand}.
 
-Exit codes: 0 success, 2 argument or input parse error (including a JSON
-input file of the wrong shape or encoding, and an input path that cannot
-be read), 3 violated mathematical precondition
+Exit codes: 0 success, 2 argument or input parse error (including
+``--n``, ``--k`` or ``--trunc`` below 1, brackets nested too deeply, a
+JSON input file of the wrong shape or encoding, and an input path that
+cannot be read), 3 violated mathematical precondition
 (filtration, speciality, scale), 4 internal invariant failure.  All
 randomness is seed-controlled and echoed in the output, and output is
 byte-deterministic given the configuration.
@@ -148,7 +149,10 @@ def parse_braid(text: str, n: int) -> Braid:
                 return out
             out = out * parse_atom()
 
-    word = parse_word()
+    try:
+        word = parse_word()
+    except RecursionError:
+        raise BraidSyntaxError("braid word nested too deeply")
     if pos != len(tokens):
         raise BraidSyntaxError(f"trailing tokens from {tokens[pos]!r}")
     return word
@@ -527,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("k", "trunc"):
+    for flag in ("n", "k", "trunc"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             print(f"error: --{flag} must be >= 1", file=sys.stderr)

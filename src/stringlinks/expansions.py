@@ -39,7 +39,8 @@ from fractions import Fraction
 from . import linalg
 from .lie import (LieElement, bracket_map_matrix, conjugator, is_grouplike,
                   lyndon_words)
-from .tensor import (Q0, Q1, Substitution, TensorSeries, Wd, by_degree, convolve,
+from .linalg import Q0, Q1
+from .tensor import (Substitution, TensorSeries, Wd, by_degree, convolve,
                      power_series)
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
 
@@ -363,7 +364,7 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
         codomain = lyndon_words(n, m + 1)
         cod_index = {w: k for k, w in enumerate(codomain)}
         rhs = [Q0] * len(codomain)
-        for w, c in top.coords.items():
+        for w, c in top.coeffs.items():
             rhs[cod_index[w]] = c  # sum_i [u_i, X_i] = -top cancels top
         solution = _correction_system(n, m).solve(rhs)
         if solution is None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import LieElement, lyndon_words
-from .tensor import Q0, Q1
+from .linalg import Q0, Q1, Combination, add_to
 
 IndexTuple = tuple[int, ...]
 
@@ -61,7 +61,7 @@ class NilpotentBasis:
     def reduce_lie(self, x: LieElement) -> dict[int, Fraction]:
         """Coordinates of the image of x in the quotient (higher degrees die)."""
         out = {}
-        for w, c in x.coords.items():
+        for w, c in x.coeffs.items():
             if len(w) <= self.degree_cap:
                 out[self.index[w]] = c
         return out
@@ -85,24 +85,31 @@ def nilpotent_basis(n: int, degree_cap: int) -> NilpotentBasis:
     return NilpotentBasis(n, degree_cap)
 
 
-class ExteriorChain:
+class ExteriorChain(Combination):
     """An element of an exterior power of the nilpotent quotient.
 
     Coordinates are indexed by strictly increasing tuples of basis indices;
     the internal degree of a tuple is the sum of its members' degrees.
     """
 
-    __slots__ = ("basis", "p", "coords")
+    __slots__ = ("basis", "p")
 
     def __init__(self, basis: NilpotentBasis, p: int,
-                 coords: dict[IndexTuple, Fraction] | None = None):
+                 coeffs: dict[IndexTuple, Fraction] | None = None):
         if p < 0:
             raise ValueError("exterior power must be >= 0")
         self.basis = basis
         self.p = p
-        if coords and not all(coords.values()):
-            coords = {t: c for t, c in coords.items() if c}
-        self.coords = {} if coords is None else coords
+        super().__init__(coeffs)
+
+    def _space(self) -> tuple[NilpotentBasis, int]:
+        return self.basis, self.p
+
+    def _new(self, coeffs: dict) -> "ExteriorChain":
+        return ExteriorChain(self.basis, self.p, coeffs)
+
+    def _degree(self, t: IndexTuple) -> int:
+        return sum(self.basis.degrees[k] for k in t)
 
     @classmethod
     def zero(cls, basis: NilpotentBasis, p: int) -> "ExteriorChain":
@@ -123,12 +130,7 @@ class ExteriorChain:
                     return
                 inversions = sum(1 for a in range(p) for b in range(a + 1, p)
                                  if chosen[a] > chosen[b])
-                sign = -1 if inversions % 2 else 1
-                v = out.get(idx, Q0) + sign * coeff
-                if v:
-                    out[idx] = v
-                else:
-                    del out[idx]
+                add_to(out, idx, -coeff if inversions % 2 else coeff)
                 return
             for k, c in reduced[pos].items():
                 rec(pos + 1, chosen + [k], coeff * c)
@@ -136,72 +138,29 @@ class ExteriorChain:
         rec(0, [], Q1)
         return cls(basis, p, out)
 
-    def _check(self, other: "ExteriorChain") -> None:
-        if self.basis != other.basis or self.p != other.p:
-            raise ValueError("mixed exterior powers")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ExteriorChain) and self.basis == other.basis
-                and self.p == other.p and self.coords == other.coords)
-
-    def __add__(self, other: "ExteriorChain") -> "ExteriorChain":
-        self._check(other)
-        out = dict(self.coords)
-        for t, c in other.coords.items():
-            v = out.get(t, Q0) + c
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return ExteriorChain(self.basis, self.p, out)
-
-    def __sub__(self, other: "ExteriorChain") -> "ExteriorChain":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "ExteriorChain":
-        s = Fraction(s)
-        if not s:
-            return ExteriorChain(self.basis, self.p)
-        return ExteriorChain(self.basis, self.p,
-                             {t: s * c for t, c in self.coords.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def tuple_degree(self, t: IndexTuple) -> int:
-        return sum(self.basis.degrees[k] for k in t)
-
-    def internal_degrees(self) -> list[int]:
-        return sorted({self.tuple_degree(t) for t in self.coords})
-
-    def degree_component(self, d: int) -> "ExteriorChain":
-        return ExteriorChain(self.basis, self.p,
-                             {t: c for t, c in self.coords.items()
-                              if self.tuple_degree(t) == d})
-
     def reduce_to(self, basis: NilpotentBasis) -> "ExteriorChain":
         """Image in a smaller quotient: tuples with dropped members die."""
         if basis.n != self.basis.n or basis.degree_cap > self.basis.degree_cap:
             raise ValueError("can only reduce into a smaller quotient")
         out: dict[IndexTuple, Fraction] = {}
-        for t, c in self.coords.items():
+        for t, c in self.coeffs.items():
             words = [self.basis.words[k] for k in t]
             if all(len(w) <= basis.degree_cap for w in words):
                 out[tuple(basis.index[w] for w in words)] = c
         return ExteriorChain(basis, self.p, out)
 
     def __str__(self) -> str:
-        if not self.coords:
+        if not self.coeffs:
             return "0"
         parts = []
-        for t in sorted(self.coords):
+        for t in sorted(self.coeffs):
             mono = " ^ ".join(str(self.basis.words[k]) for k in t)
-            parts.append(f"{self.coords[t]} * ({mono})")
+            parts.append(f"{self.coeffs[t]} * ({mono})")
         return "  +  ".join(parts)
 
     def __repr__(self) -> str:
         return (f"ExteriorChain(p={self.p}, n={self.basis.n}, "
-                f"cap={self.basis.degree_cap}, {len(self.coords)} terms)")
+                f"cap={self.basis.degree_cap}, {len(self.coeffs)} terms)")
 
 
 def boundary(chain: ExteriorChain) -> ExteriorChain:
@@ -209,7 +168,7 @@ def boundary(chain: ExteriorChain) -> ExteriorChain:
     basis = chain.basis
     p = chain.p
     out: dict[IndexTuple, Fraction] = {}
-    for t, coeff in chain.coords.items():
+    for t, coeff in chain.coeffs.items():
         for a in range(p):
             for b in range(a + 1, p):
                 entry = basis.bracket_entry(t[a], t[b])
@@ -222,12 +181,7 @@ def boundary(chain: ExteriorChain) -> ExteriorChain:
                         continue
                     inversions = sum(1 for x in rest if x < k)
                     sign = -base_sign if inversions % 2 else base_sign
-                    idx = tuple(sorted(rest + [k]))
-                    v = out.get(idx, Q0) + sign * coeff * cbr
-                    if v:
-                        out[idx] = v
-                    else:
-                        del out[idx]
+                    add_to(out, tuple(sorted(rest + [k])), sign * coeff * cbr)
     return ExteriorChain(basis, p - 1, out)
 
 
@@ -262,7 +216,7 @@ def _boundary_columns(basis: NilpotentBasis, p: int, d: int) -> tuple[list, list
     for t in domain:
         image = boundary(ExteriorChain(basis, p, {t: Q1}))
         col = [Q0] * len(codomain)
-        for tt, c in image.coords.items():
+        for tt, c in image.coeffs.items():
             col[cod_index[tt]] = c
         columns.append(col)
     return columns, list(codomain)
@@ -370,7 +324,7 @@ class HomologyBasis:
             component = chain.degree_component(d)
             if not component.is_zero():
                 target = [Q0] * len(block.tuples)
-                for t, c in component.coords.items():
+                for t, c in component.coeffs.items():
                     target[block.tuple_index[t]] = c
                 columns = block.image_basis + block.reps
                 sol = linalg.solve_in_span(columns, target)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .tensor import Q0, Q1, TensorSeries, Wd
+from .linalg import Q0, Q1, Combination, add_to
+from .tensor import TensorSeries, Wd
 
 
 # -- Lyndon words ------------------------------------------------------------
@@ -35,6 +36,8 @@ from .tensor import Q0, Q1, TensorSeries, Wd
 @functools.lru_cache(maxsize=None)
 def lyndon_words(n: int, d: int) -> tuple[Wd, ...]:
     """All Lyndon words of length d over {1..n}, lexicographically ordered."""
+    if n < 1:
+        raise ValueError("need at least one generator")
     if d < 1:
         raise ValueError("degree must be >= 1")
     out = []
@@ -104,12 +107,9 @@ def _commutator(a: dict[Wd, int], b: dict[Wd, int]) -> dict[Wd, int]:
     out: dict[Wd, int] = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            for word, sign in ((wa + wb, 1), (wb + wa, -1)):
-                val = out.get(word, 0) + sign * ca * cb
-                if val:
-                    out[word] = val
-                else:
-                    del out[word]
+            c = ca * cb
+            add_to(out, wa + wb, c)
+            add_to(out, wb + wa, -c)
     return out
 
 
@@ -191,16 +191,22 @@ def bch(a: TensorSeries, b: TensorSeries) -> TensorSeries:
 
 # -- Lie elements -------------------------------------------------------------
 
-class LieElement:
+class LieElement(Combination):
     """A finitely supported element of the graded free Lie algebra."""
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, coords: dict[Wd, Fraction] | None = None):
+    def __init__(self, n: int, coeffs: dict[Wd, Fraction] | None = None):
         self.n = n
-        if coords and not all(coords.values()):
-            coords = {w: c for w, c in coords.items() if c}
-        self.coords = {} if coords is None else coords
+        super().__init__(coeffs)
+
+    def _space(self) -> tuple[int]:
+        return (self.n,)
+
+    def _new(self, coeffs: dict) -> "LieElement":
+        return LieElement(self.n, coeffs)
+
+    _degree = staticmethod(len)
 
     @classmethod
     def zero(cls, n: int) -> "LieElement":
@@ -219,61 +225,9 @@ class LieElement:
             raise ValueError("not primitive: nonzero constant term")
         return cls(series.n, _extract_lyndon(series.coeffs))
 
-    def _check(self, other: "LieElement") -> None:
-        if self.n != other.n:
-            raise ValueError("mixed free Lie algebras")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LieElement) and self.n == other.n
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coords.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def coefficient(self, w) -> Fraction:
-        return self.coords.get(tuple(w), Q0)
-
-    def min_degree(self) -> int | None:
-        return min((len(w) for w in self.coords), default=None)
-
-    def max_degree(self) -> int | None:
-        return max((len(w) for w in self.coords), default=None)
-
-    def degree_component(self, d: int) -> "LieElement":
-        return LieElement(self.n, {w: c for w, c in self.coords.items() if len(w) == d})
-
     def truncated(self, max_degree: int) -> "LieElement":
         return LieElement(self.n,
-                          {w: c for w, c in self.coords.items() if len(w) <= max_degree})
-
-    def degrees(self) -> list[int]:
-        return sorted({len(w) for w in self.coords})
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            v = out.get(w, Q0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return LieElement(self.n, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-1)
-
-    def scale(self, s) -> "LieElement":
-        s = Fraction(s)
-        if not s:
-            return LieElement(self.n)
-        return LieElement(self.n, {w: s * c for w, c in self.coords.items()})
+                          {w: c for w, c in self.coeffs.items() if len(w) <= max_degree})
 
     def bracket(self, other: "LieElement", max_degree: int | None = None) -> "LieElement":
         """[self, other], keeping only degrees <= max_degree when one is given.
@@ -284,42 +238,34 @@ class LieElement:
         """
         self._check(other)
         out: dict[Wd, Fraction] = {}
-        for wa, ca in self.coords.items():
-            for wb, cb in other.coords.items():
+        for wa, ca in self.coeffs.items():
+            for wb, cb in other.coeffs.items():
                 if max_degree is not None and len(wa) + len(wb) > max_degree:
                     continue
                 c = ca * cb
                 for w, cw in _basis_bracket(wa, wb):
-                    v = out.get(w, Q0) + c * cw
-                    if v:
-                        out[w] = v
-                    else:
-                        del out[w]
+                    add_to(out, w, c * cw)
         return LieElement(self.n, out)
 
     def to_tensor(self, trunc: int) -> TensorSeries:
         out: dict[Wd, Fraction] = {}
-        for w, c in self.coords.items():
+        for w, c in self.coeffs.items():
             if len(w) > trunc:
                 continue
             for word, cw in _lyndon_tensor(w).items():
-                v = out.get(word, Q0) + c * cw
-                if v:
-                    out[word] = v
-                else:
-                    del out[word]
+                add_to(out, word, c * cw)
         return TensorSeries(self.n, trunc, out)
 
     def sorted_terms(self) -> list[tuple[Wd, Fraction]]:
-        return sorted(self.coords.items(), key=lambda t: (len(t[0]), t[0]))
+        return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
 
     def __str__(self) -> str:
-        if not self.coords:
+        if not self.coeffs:
             return "0"
         return "\n".join(f"{c} * {bracketing_str(w)}" for w, c in self.sorted_terms())
 
     def __repr__(self) -> str:
-        return f"LieElement(n={self.n}, {len(self.coords)} terms)"
+        return f"LieElement(n={self.n}, {len(self.coeffs)} terms)"
 
 
 # -- H (x) L: carriers of invariant values ------------------------------------
@@ -364,7 +310,7 @@ class HTensorLie:
     def degree_range(self, lo: int, hi: int) -> "HTensorLie":
         """Entries restricted to degrees lo..hi inclusive."""
         return HTensorLie(self.n, tuple(
-            LieElement(self.n, {w: c for w, c in y.coords.items() if lo <= len(w) <= hi})
+            LieElement(self.n, {w: c for w, c in y.coeffs.items() if lo <= len(w) <= hi})
             for y in self.entries))
 
     def degrees(self) -> list[int]:
@@ -386,7 +332,7 @@ class HTensorLie:
         vec = []
         for i in range(1, self.n + 1):
             y = self.entries[i - 1]
-            vec.extend(y.coords.get(w, Q0) for w in basis)
+            vec.extend(y.coeffs.get(w, Q0) for w in basis)
         return vec
 
     def to_json_entries(self) -> list[dict]:
@@ -414,7 +360,7 @@ def bracket_map_matrix(n: int, d: int) -> list[list[Fraction]]:
     rows = [[Q0] * len(domain) for _ in codomain]
     for col, (i, w) in enumerate(domain):
         image = LieElement.generator(n, i).bracket(LieElement(n, {w: Q1}))
-        for ww, c in image.coords.items():
+        for ww, c in image.coeffs.items():
             rows[cod_index[ww]][col] = c
     return rows
 
@@ -453,7 +399,7 @@ def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieEleme
         codomain = lyndon_words(n, d + 1)
         cod_index = {w: k for k, w in enumerate(codomain)}
         rhs = [Q0] * len(codomain)
-        for w, c in residue.coords.items():
+        for w, c in residue.coeffs.items():
             rhs[cod_index[w]] = -c  # [u, X_i] = -[X_i, u]
         sol = _ad_generator_system(n, d, i).solve(rhs)
         if sol is None:

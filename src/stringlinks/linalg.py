@@ -1,10 +1,15 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals: sparse combinations and dense matrices.
+
+Every value the library computes is a finite rational combination over
+some basis (tensor words, Lyndon words, exterior tuples, tree diagrams);
+``Combination`` holds the zero-free arithmetic they share, and
+``add_to`` is its one accumulation step.
 
 Homology ranks, eta-inversion and boundary solving all reduce to row
-echelon computations here.  Everything is Fraction-exact; no floats are
-allowed anywhere in the library.  Matrices are plain lists of rows and
-sizes stay at desk scale (a few hundred rows), so there is no need for
-sparse formats or pivoting heuristics beyond determinism.
+echelon computations on dense matrices.  Everything is Fraction-exact; no
+floats are allowed anywhere in the library.  Matrices are plain lists of
+rows and sizes stay at desk scale (a few hundred rows), so there is no
+need for sparse formats or pivoting heuristics beyond determinism.
 """
 
 from __future__ import annotations
@@ -16,6 +21,89 @@ Q1 = Fraction(1)
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
+
+
+def add_to(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum cancels (no zeros are kept)."""
+    v = out.get(key, 0) + c
+    if v:
+        out[key] = v
+    else:
+        out.pop(key, None)
+
+
+class Combination:
+    """A finite combination of basis keys with nonzero exact coefficients.
+
+    Values are immutable.  A subclass names the space it lives in
+    (``_space``: values of different spaces never mix), builds values of
+    that space (``_new``) and grades its keys (``_degree``); the
+    arithmetic, equality, hashing and degree filters are defined here
+    once.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict | None = None):
+        if coeffs and not all(coeffs.values()):
+            coeffs = {k: c for k, c in coeffs.items() if c}
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def _space(self) -> tuple:
+        raise NotImplementedError
+
+    def _new(self, coeffs: dict):
+        raise NotImplementedError
+
+    def _degree(self, key) -> int:
+        raise NotImplementedError
+
+    def _check(self, other: "Combination") -> None:
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError(f"mixed spaces: {self!r} and {other!r}")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._space() == other._space()
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self._space(), frozenset(self.coeffs.items())))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, key) -> Fraction:
+        return self.coeffs.get(key, Q0)
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            add_to(out, k, c)
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, s):
+        s = Fraction(s)
+        return self._new({k: s * c for k, c in self.coeffs.items()} if s else {})
+
+    def degree_component(self, d: int):
+        return self._new({k: c for k, c in self.coeffs.items() if self._degree(k) == d})
+
+    def degrees(self) -> list[int]:
+        return sorted({self._degree(k) for k in self.coeffs})
+
+    def min_degree(self) -> int | None:
+        """Smallest degree with a nonzero term, or None for zero."""
+        return min(map(self._degree, self.coeffs), default=None)
+
+    def max_degree(self) -> int | None:
+        return max(map(self._degree, self.coeffs), default=None)
 
 
 def _copy(rows: Matrix) -> Matrix:

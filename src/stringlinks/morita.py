@@ -31,7 +31,7 @@ from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
                      nilpotent_basis)
 from .lie import HTensorLie
 from .milnor import FiltrationError, special_artin
-from .tensor import Q0
+from .linalg import Q0
 from .trees import TreeCombination, enumerate_trees, eta, eta_inverse
 from .words import Braid, LongitudeTuple
 
@@ -101,11 +101,11 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
         raise NotACycleError("boundary target is not a cycle")
     basis = target.basis
     coords = {}
-    for d in target.internal_degrees():
+    for d in target.degrees():
         columns, codomain = _boundary_columns(basis, 3, d)
         cod_index = {t: j for j, t in enumerate(codomain)}
         rhs = [Q0] * len(codomain)
-        for t, c in target.degree_component(d).coords.items():
+        for t, c in target.degree_component(d).coeffs.items():
             rhs[cod_index[t]] = c
         order = None
         if pivot_order == "backward":

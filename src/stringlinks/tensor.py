@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+from .linalg import Q0, Q1, Combination, add_to
 
 Wd = tuple[int, ...]
 
@@ -86,8 +85,8 @@ def power_series(buckets: dict[int, list], coefficients: list, trunc: int) -> di
     return out
 
 
-class TensorSeries:
-    __slots__ = ("n", "trunc", "coeffs", "_buckets")
+class TensorSeries(Combination):
+    __slots__ = ("n", "trunc", "_buckets")
 
     def __init__(self, n: int, trunc: int, coeffs: dict[Wd, Fraction] | None = None):
         if n < 1:
@@ -96,10 +95,16 @@ class TensorSeries:
             raise ValueError("truncation degree must be >= 1")
         self.n = n
         self.trunc = trunc
-        if coeffs and not all(coeffs.values()):
-            coeffs = {w: c for w, c in coeffs.items() if c}
-        self.coeffs = {} if coeffs is None else coeffs
+        super().__init__(coeffs)
         self._buckets = None  # degree buckets, filled by the first product
+
+    def _space(self) -> tuple[int, int]:
+        return self.n, self.trunc
+
+    def _new(self, coeffs: dict) -> "TensorSeries":
+        return TensorSeries(self.n, self.trunc, coeffs)
+
+    _degree = staticmethod(len)
 
     # -- constructors ------------------------------------------------------
 
@@ -126,44 +131,13 @@ class TensorSeries:
                 continue
             if any(not 1 <= g <= n for g in word):
                 raise ValueError(f"word {word} has letters outside 1..{n}")
-            v = out.get(word, Q0) + Fraction(c)
-            if v:
-                out[word] = v
-            else:
-                out.pop(word, None)
+            add_to(out, word, Fraction(c))
         return cls(n, trunc, out)
 
     # -- basic structure ---------------------------------------------------
 
-    def _check(self, other: "TensorSeries") -> None:
-        if self.n != other.n or self.trunc != other.trunc:
-            raise ValueError(
-                f"mixed tensor algebras: ({self.n},{self.trunc}) vs "
-                f"({other.n},{other.trunc})")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorSeries) and self.n == other.n
-                and self.trunc == other.trunc and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.n, self.trunc, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def constant_term(self) -> Fraction:
         return self.coeffs.get((), Q0)
-
-    def coefficient(self, word) -> Fraction:
-        return self.coeffs.get(tuple(word), Q0)
-
-    def min_degree(self) -> int | None:
-        """Smallest degree with a nonzero term, or None for the zero series."""
-        return min((len(w) for w in self.coeffs), default=None)
-
-    def degree_component(self, d: int) -> "TensorSeries":
-        return TensorSeries(self.n, self.trunc,
-                            {w: c for w, c in self.coeffs.items() if len(w) == d})
 
     def truncate(self, trunc: int) -> "TensorSeries":
         """Deliberate re-truncation to a lower (or equal) degree."""
@@ -175,30 +149,6 @@ class TensorSeries:
                             {w: c for w, c in self.coeffs.items() if len(w) <= trunc})
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            v = out.get(w, Q0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-        return TensorSeries(self.n, self.trunc, out)
-
-    def __sub__(self, other: "TensorSeries") -> "TensorSeries":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "TensorSeries":
-        return self.scale(-1)
-
-    def scale(self, s) -> "TensorSeries":
-        s = Fraction(s)
-        if not s:
-            return TensorSeries(self.n, self.trunc)
-        return TensorSeries(self.n, self.trunc,
-                            {w: s * c for w, c in self.coeffs.items()})
 
     def _by_degree(self) -> dict[int, list[tuple[Wd, Fraction]]]:
         """Terms grouped by degree, computed once per series (coeffs never change)."""

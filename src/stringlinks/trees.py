@@ -39,7 +39,7 @@ from fractions import Fraction
 from . import linalg
 from .koszul import ExteriorChain, NilpotentBasis
 from .lie import HTensorLie, LieElement
-from .tensor import Q0
+from .linalg import Combination
 
 MAX_COLORS = 4
 MAX_DEGREE = 5
@@ -220,14 +220,23 @@ def _expr_lie(n: int, expr) -> LieElement:
     return _expr_lie(n, expr[0]).bracket(_expr_lie(n, expr[1]))
 
 
-class TreeCombination:
+class TreeCombination(Combination):
     """A formal rational combination of canonical tree diagrams."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n",)
 
-    def __init__(self, n: int, terms: dict[TreeDiagram, Fraction] | None = None):
+    def __init__(self, n: int, coeffs: dict[TreeDiagram, Fraction] | None = None):
         self.n = n
-        self.terms = {} if terms is None else terms
+        super().__init__(coeffs)
+
+    def _space(self) -> tuple[int]:
+        return (self.n,)
+
+    def _new(self, coeffs: dict) -> "TreeCombination":
+        return TreeCombination(self.n, coeffs)
+
+    def _degree(self, diagram: TreeDiagram) -> int:
+        return diagram.degree
 
     @classmethod
     def zero(cls, n: int) -> "TreeCombination":
@@ -236,65 +245,17 @@ class TreeCombination:
     def add_tree(self, root: int, expr, coeff) -> "TreeCombination":
         """Add coeff times the presented tree (canonicalising, tracking sign)."""
         diagram, sign = TreeDiagram.build(self.n, root, expr)
-        out = dict(self.terms)
-        if diagram is not None:
-            v = out.get(diagram, Q0) + sign * Fraction(coeff)
-            if v:
-                out[diagram] = v
-            else:
-                out.pop(diagram, None)
-        return TreeCombination(self.n, out)
+        return self if diagram is None else self.add_diagram(diagram, sign * Fraction(coeff))
 
     def add_diagram(self, diagram: TreeDiagram, coeff) -> "TreeCombination":
-        out = dict(self.terms)
-        v = out.get(diagram, Q0) + Fraction(coeff)
-        if v:
-            out[diagram] = v
-        else:
-            out.pop(diagram, None)
-        return TreeCombination(self.n, out)
-
-    def __add__(self, other: "TreeCombination") -> "TreeCombination":
-        if self.n != other.n:
-            raise ValueError("color count mismatch")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            v = out.get(t, Q0) + c
-            if v:
-                out[t] = v
-            else:
-                del out[t]
-        return TreeCombination(self.n, out)
-
-    def scale(self, s) -> "TreeCombination":
-        s = Fraction(s)
-        if not s:
-            return TreeCombination(self.n)
-        return TreeCombination(self.n, {t: s * c for t, c in self.terms.items()})
-
-    def __sub__(self, other: "TreeCombination") -> "TreeCombination":
-        return self + other.scale(-1)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TreeCombination) and self.n == other.n
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> list[int]:
-        return sorted({t.degree for t in self.terms})
-
-    def degree_component(self, d: int) -> "TreeCombination":
-        return TreeCombination(self.n,
-                               {t: c for t, c in self.terms.items() if t.degree == d})
+        return self + TreeCombination(self.n, {diagram: Fraction(coeff)})
 
     def sorted_terms(self) -> list[tuple[TreeDiagram, Fraction]]:
-        return sorted(self.terms.items(),
+        return sorted(self.coeffs.items(),
                       key=lambda t: (t[0].degree, t[0].root, _encode(t[0].expr)))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         return "\n".join(f"{c} * {t}" for t, c in self.sorted_terms())
 
@@ -309,7 +270,7 @@ def eta(diagram: TreeDiagram) -> HTensorLie:
 
 def eta_combination(comb: TreeCombination) -> HTensorLie:
     out = HTensorLie.zero(comb.n)
-    for diagram, c in comb.terms.items():
+    for diagram, c in comb.coeffs.items():
         out = out + eta(diagram).scale(c)
     return out
 
@@ -406,6 +367,6 @@ def fission(diagram: TreeDiagram, basis: NilpotentBasis) -> ExteriorChain:
 
 def fission_combination(comb: TreeCombination, basis: NilpotentBasis) -> ExteriorChain:
     out = ExteriorChain.zero(basis, 3)
-    for diagram, c in comb.terms.items():
+    for diagram, c in comb.coeffs.items():
         out = out + fission(diagram, basis).scale(c)
     return out

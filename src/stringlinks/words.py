@@ -91,10 +91,7 @@ class Word:
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        out = Word.identity(self.n)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return Word.of(self.n, base.letters * abs(k))
 
     def exponent_sum(self, i: int) -> int:
         return sum(e for g, e in self.letters if g == i)
@@ -153,10 +150,7 @@ class Braid:
 
     def __pow__(self, k: int) -> "Braid":
         base = self if k >= 0 else self.inverse()
-        out = Braid.identity(self.n)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return Braid(self.n, base.letters * abs(k))
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,27 @@ def test_milnor_filtration_violation_exit_code(capsys):
 def test_milnor_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "milnor", "--braid", "A(1", "--n", "2", "--k", "1")
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 3000,
+    "[" * 1200 + "A(1,2)" + ", A(1,3)]" * 1200,
+], ids=["unclosed", "valid"])
+def test_deeply_nested_braid_exit_code(capsys, text):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "milnor", "--braid", text, "--n", "3", "--k", "2")
+    assert code == EXIT_PARSE
+    assert "nested too deeply" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_powers_parse_in_one_pass():
+    start = time.perf_counter()
+    braid = parse_braid("[A(1,2) , A(1,3)]^8000", 3)
+    assert time.perf_counter() - start < 1
+    assert len(braid) == 32000
+    assert parse_braid("[A(1,2) , A(1,3)]^-3", 3) == (
+        parse_braid("[A(1,3) , A(1,2)]", 3) ** 3)
 
 
 @pytest.mark.parametrize("doc", [
@@ -150,6 +172,12 @@ def test_total_mode_rejects_trunc_below_one(capsys):
                        "--mode", "total", "--trunc", "0")
     assert code == EXIT_PARSE
     assert "--trunc" in err
+
+
+def test_homology_rank_zero_exit_code(capsys):
+    code, _, err = run(capsys, "homology", "--n", "0", "--k", "3")
+    assert code == EXIT_PARSE
+    assert "--n" in err
 
 
 def test_level_command(capsys):

@@ -55,10 +55,10 @@ def test_boundary_preserves_internal_degree():
     rng = seeded(23)
     basis = nilpotent_basis(3, 3)
     chain = random_chain(basis, 3, rng, density=0.3)
-    for d in chain.internal_degrees():
+    for d in chain.degrees():
         component = chain.degree_component(d)
         img = boundary(component)
-        assert all(deg == d for deg in img.internal_degrees())
+        assert all(deg == d for deg in img.degrees())
 
 
 def test_wedge_antisymmetry():

@@ -35,6 +35,9 @@ def test_lyndon_enumeration():
             assert len(words) == witt_dim(n, d)
             assert all(is_lyndon(w) for w in words)
             assert list(words) == sorted(words)
+    for bad_n in (0, -1):  # used to loop forever
+        with pytest.raises(ValueError):
+            lyndon_words(bad_n, 1)
 
 
 def test_witt_dimensions():

@@ -38,7 +38,7 @@ def test_sigma_is_a_cycle_with_expected_degrees():
     inp = MoritaInput(corpus["level2"][0], theta3(), 1)
     chain = sigma(inp)
     assert boundary(chain).is_zero()
-    assert chain.internal_degrees() == [3, 4]
+    assert chain.degrees() == [3, 4]
     assert chain.basis.degree_cap == 2 * inp.k + 1
 
 

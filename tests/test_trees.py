@@ -151,7 +151,7 @@ def test_eta_inverse_single_edge():
     value = HTensorLie(2, (LieElement.generator(2, 2), LieElement.generator(2, 1)))
     comb = eta_inverse(value)
     t, _ = build(2, 1, 2)
-    assert comb.terms == {t: Fraction(1)}
+    assert comb.coeffs == {t: Fraction(1)}
     assert eta_inverse(HTensorLie.zero(2)).is_zero()
 
 
@@ -189,7 +189,7 @@ def test_fission_tripod_single_term():
     chain = fission(t, basis).scale(s)
     # one trivalent vertex; the wedge of the three leaves up to the stored
     # embedding; must be +-X1^X2^X3 and a cycle
-    (tup, coeff), = chain.coords.items()
+    (tup, coeff), = chain.coeffs.items()
     assert tup == (0, 1, 2) and coeff in (1, -1)
     assert boundary(chain).is_zero()
 

@@ -49,6 +49,28 @@ def test_product_represents_concatenation(a, b):
     assert wa * wb == Word.of(3, tuple(a) + tuple(b))
 
 
+@given(letters_strategy)
+@settings(max_examples=30, deadline=None)
+def test_word_power_is_the_repeated_product(letters):
+    w = Word.of(3, letters)
+    for k in range(-4, 5):
+        product = Word.identity(3)
+        for _ in range(abs(k)):
+            product = product * (w if k > 0 else w.inverse())
+        assert w ** k == product
+
+
+def test_braid_power_is_the_repeated_product():
+    rng = seeded(5)
+    for _ in range(10):
+        b = random_braid(4, rng.randint(0, 6), rng)
+        for k in range(-4, 5):
+            product = Braid.identity(4)
+            for _ in range(abs(k)):
+                product = product * (b if k > 0 else b.inverse())
+            assert b ** k == product
+
+
 def test_str_rendering():
     w = Word.of(2, [(1, 1), (1, 1), (2, -1)])
     assert str(w) == "x1^2*x2^-1"
