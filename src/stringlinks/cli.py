@@ -18,12 +18,12 @@ JSON files: {"n": ..., "truncation": ..., "words": [[gen, exp], ...] per
 strand}.
 
 Exit codes: 0 success, 2 argument or input parse error (including
-``--n``, ``--k`` or ``--trunc`` below 1, brackets nested too deeply, a
-JSON input file of the wrong shape or encoding, and an input path that
-cannot be read), 3 violated mathematical precondition
-(filtration, speciality, scale), 4 internal invariant failure.  All
-randomness is seed-controlled and echoed in the output, and output is
-byte-deterministic given the configuration.
+``--n``, ``--k`` or ``--trunc`` below 1, ``homology --k`` below 2,
+brackets nested too deeply, a JSON input file of the wrong shape or
+encoding, and an input path that cannot be read), 3 violated
+mathematical precondition (filtration, speciality, scale), 4 internal
+invariant failure.  All randomness is seed-controlled and echoed in the
+output, and output is byte-deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ def _tokenize(text: str) -> list[str]:
 def parse_braid(text: str, n: int) -> Braid:
     """Parse the braid grammar; empty input is the identity braid."""
     tokens = _tokenize(text)
+    Braid.identity(n)  # refuses n < 2 before any atom is read
     pos = 0
 
     def peek():
@@ -141,13 +142,12 @@ def parse_braid(text: str, n: int) -> Braid:
         raise BraidSyntaxError(f"unexpected token {tok!r}")
 
     def parse_word(stop=frozenset()) -> Braid:
-        nonlocal pos
-        out = Braid.identity(n)
+        letters = []
         while True:
             tok = peek()
             if tok is None or tok in stop:
-                return out
-            out = out * parse_atom()
+                return Braid(n, tuple(letters))
+            letters.extend(parse_atom().letters)
 
     try:
         word = parse_word()
@@ -428,13 +428,13 @@ def cmd_verify(args) -> int:
     else:
         inp = MoritaInput(data, theta, k - 1) if k >= 2 else None
         if inp is not None:
-            sig = sigma(inp)
+            sigma(inp)
             checks.append(("sigma is a 2-cycle", True))  # sigma() raises otherwise
             lhs, rhs = diagram_sides(inp)
             checks.append(("commutative diagram", lhs == rhs))
             checks.append((
                 "class independent of the bounding chain",
-                morita_milnor(inp, "forward") == morita_milnor(inp, "backward")))
+                lhs == morita_milnor(inp, "backward")))
             checks.append((f"d2 composition equals mu_{k}",
                            d2_composition(lhs) == milnor_degree(data, theta, k)))
         ok = all(flag for _, flag in checks)
@@ -533,8 +533,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for flag in ("n", "k", "trunc"):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            print(f"error: --{flag} must be >= 1", file=sys.stderr)
+        # H_3 of the class-(k-1) quotient needs k - 1 >= 1
+        least = 2 if (args.command, flag) == ("homology", "k") else 1
+        if value is not None and value < least:
+            print(f"error: --{flag} must be >= {least}", file=sys.stderr)
             return EXIT_PARSE
     try:
         return args.func(args)

@@ -301,18 +301,6 @@ def _speciality(theta: Expansion) -> SpecialityReport:
     return SpecialityReport(True, True, True, True, tuple(witnesses))
 
 
-@functools.lru_cache(maxsize=None)
-def _correction_system(n: int, m: int) -> linalg.PresolvedSystem:
-    """Presolved system for sum_i [X_i, u_i] = r, u_i in L_m."""
-    return linalg.PresolvedSystem(bracket_map_matrix(n, m))
-
-
-@functools.lru_cache(maxsize=None)
-def _correction_kernel(n: int, m: int) -> list[list[Fraction]]:
-    """Kernel basis of the correction system; only the randomized strategy reads it."""
-    return linalg.nullspace(bracket_map_matrix(n, m))
-
-
 def build_special(n: int, trunc: int, strategy: str = "canonical",
                   seed: int = 0) -> Expansion:
     """Construct a special expansion of F_n at the given truncation degree.
@@ -366,12 +354,14 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
         rhs = [Q0] * len(codomain)
         for w, c in top.coeffs.items():
             rhs[cod_index[w]] = c  # sum_i [u_i, X_i] = -top cancels top
-        solution = _correction_system(n, m).solve(rhs)
+        # the corrector system sum_i [X_i, u_i] = r, u_i in L_m
+        columns = bracket_map_matrix(n, m)
+        solution = linalg.solve(columns, rhs)
         if solution is None:
             raise RuntimeError("corrector system inconsistent; the bracket "
                                "contraction should be onto")
         if rng is not None:
-            for kernel_vec in _correction_kernel(n, m):
+            for kernel_vec in linalg.kernel(columns):
                 coeff = rng.randint(-2, 2)
                 if coeff:
                     solution = [s + coeff * v for s, v in zip(solution, kernel_vec)]

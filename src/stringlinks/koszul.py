@@ -269,13 +269,8 @@ class HomologyBasis:
         domain = exterior_basis(self.basis, self.p, d)
         if not domain:
             return None
-        columns, codomain = _boundary_columns(self.basis, self.p, d)
-        if codomain:
-            kernel = linalg.nullspace([[col[r] for col in columns]
-                                       for r in range(len(codomain))])
-        else:
-            kernel = [[Q1 if i == j else Q0 for j in range(len(domain))]
-                      for i in range(len(domain))]
+        columns, _ = _boundary_columns(self.basis, self.p, d)
+        kernel = linalg.kernel(columns)
         image_cols, _ = _boundary_columns(self.basis, self.p + 1, d)
         candidates = image_cols + kernel
         _, pivots = linalg.rref([[col[r] for col in candidates]
@@ -291,10 +286,6 @@ class HomologyBasis:
     @property
     def dimension(self) -> int:
         return len(self.rep_index)
-
-    def dimension_in_degree(self, d: int) -> int:
-        block = self.blocks.get(d)
-        return len(block.reps) if block else 0
 
     def degree_table(self) -> dict[int, dict[str, int]]:
         """Per internal degree: chain, cycle, boundary and homology dimensions."""
@@ -327,7 +318,7 @@ class HomologyBasis:
                 for t, c in component.coeffs.items():
                     target[block.tuple_index[t]] = c
                 columns = block.image_basis + block.reps
-                sol = linalg.solve_in_span(columns, target)
+                sol = linalg.solve(columns, target)
                 if sol is None:
                     raise RuntimeError("cycle failed to project; homology basis "
                                        "is corrupt")

@@ -353,30 +353,23 @@ class HTensorLie:
 
 
 def bracket_map_matrix(n: int, d: int) -> list[list[Fraction]]:
-    """Matrix of H (x) L_d -> L_{d+1}; column (i, w) is [X_i, w]."""
-    domain = [(i, w) for i in range(1, n + 1) for w in lyndon_words(n, d)]
+    """Columns of H (x) L_d -> L_{d+1}; column (i, w) is [X_i, w] over Lyndon words."""
     codomain = lyndon_words(n, d + 1)
     cod_index = {w: k for k, w in enumerate(codomain)}
-    rows = [[Q0] * len(domain) for _ in codomain]
-    for col, (i, w) in enumerate(domain):
-        image = LieElement.generator(n, i).bracket(LieElement(n, {w: Q1}))
-        for ww, c in image.coeffs.items():
-            rows[cod_index[ww]][col] = c
-    return rows
+    columns = []
+    for i in range(1, n + 1):
+        for w in lyndon_words(n, d):
+            col = [Q0] * len(codomain)
+            image = LieElement.generator(n, i).bracket(LieElement(n, {w: Q1}))
+            for ww, c in image.coeffs.items():
+                col[cod_index[ww]] = c
+            columns.append(col)
+    return columns
 
 
 def d_dimension(n: int, d: int) -> int:
     """dim of the kernel of the bracket map on H (x) L_d, computed by rank."""
-    m = bracket_map_matrix(n, d)
-    return n * witt_dim(n, d) - linalg.rank(m)
-
-
-@functools.lru_cache(maxsize=None)
-def _ad_generator_system(n: int, d: int, i: int) -> "linalg.PresolvedSystem":
-    """Presolved system for [X_i, u] = r with u of degree d: block i of columns."""
-    size = len(lyndon_words(n, d))
-    rows = [row[(i - 1) * size:i * size] for row in bracket_map_matrix(n, d)]
-    return linalg.PresolvedSystem(rows, ncols=size)
+    return n * witt_dim(n, d) - linalg.rank(bracket_map_matrix(n, d))
 
 
 def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieElement:
@@ -401,11 +394,13 @@ def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieEleme
         rhs = [Q0] * len(codomain)
         for w, c in residue.coeffs.items():
             rhs[cod_index[w]] = -c  # [u, X_i] = -[X_i, u]
-        sol = _ad_generator_system(n, d, i).solve(rhs)
+        # [X_i, u] = r with u of degree d: block i of the bracket columns
+        domain = lyndon_words(n, d)
+        block = bracket_map_matrix(n, d)[(i - 1) * len(domain):i * len(domain)]
+        sol = linalg.solve(block, rhs)
         if sol is None:
             raise ValueError(f"target is not conjugate to X{i}: "
                              f"obstruction in degree {d + 1}")
-        domain = lyndon_words(n, d)
         update = {domain[k]: sol[k] for k in range(len(domain)) if sol[k]}
         if d == 1:
             update.pop((i,), None)  # normalisation: no X_i component

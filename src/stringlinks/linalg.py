@@ -5,11 +5,14 @@ some basis (tensor words, Lyndon words, exterior tuples, tree diagrams);
 ``Combination`` holds the zero-free arithmetic they share, and
 ``add_to`` is its one accumulation step.
 
-Homology ranks, eta-inversion and boundary solving all reduce to row
-echelon computations on dense matrices.  Everything is Fraction-exact; no
-floats are allowed anywhere in the library.  Matrices are plain lists of
-rows and sizes stay at desk scale (a few hundred rows), so there is no
-need for sparse formats or pivoting heuristics beyond determinism.
+Every linear system the library meets (the bracket contraction behind
+special expansions and conjugators, Koszul homology, boundary solving,
+eta-inversion) is given by its columns, one vector per unknown, and goes
+through one exact solve (``solve``) or one kernel (``kernel``); both run
+on the one reduced row echelon loop (``rref``).  Everything is
+Fraction-exact; no floats are allowed anywhere in the library.  Sizes stay
+at desk scale (a few hundred rows), so there is no need for sparse
+formats or pivoting heuristics beyond determinism.
 """
 
 from __future__ import annotations
@@ -145,8 +148,9 @@ def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
 
-def solve(rows: Matrix, rhs: Vector, column_order: list[int] | None = None) -> Vector | None:
-    """One exact solution of ``rows @ x = rhs`` or None if inconsistent.
+def solve(columns: list[Vector], target: Vector,
+          column_order: list[int] | None = None) -> Vector | None:
+    """Coefficients x with sum_j x_j columns[j] = target, or None if inconsistent.
 
     Free variables are set to zero, so the solution is the deterministic
     minimal-support one for the given pivot preference.  ``column_order``
@@ -154,76 +158,31 @@ def solve(rows: Matrix, rhs: Vector, column_order: list[int] | None = None) -> V
     original order); two different orders give two genuinely different
     particular solutions when the system is underdetermined.
     """
-    if not rows:
-        return [] if all(x == 0 for x in rhs) else None
-    ncols = len(rows[0])
-    order = list(range(ncols)) if column_order is None else list(column_order)
-    aug = [[row[c] for c in order] + [b] for row, b in zip(rows, rhs)]
+    width = len(columns)
+    order = range(width) if column_order is None else column_order
+    aug = [[columns[c][r] for c in order] + [b] for r, b in enumerate(target)]
     red, pivots = rref(aug)
-    for row in red[len(pivots):]:
-        if row[ncols] != 0:
-            return None
-    if any(p == ncols for p in pivots):
+    if pivots and pivots[-1] == width:
         return None
-    x = [Fraction(0)] * ncols
+    x = [Q0] * width
     for k, p in enumerate(pivots):
-        x[order[p]] = red[k][ncols]
+        x[order[p]] = red[k][width]
     return x
 
 
-def nullspace(rows: Matrix) -> list[Vector]:
-    """Deterministic basis of the kernel of ``rows``."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
+def kernel(columns: list[Vector]) -> list[Vector]:
+    """Deterministic basis of the vectors x with sum_j x_j columns[j] = 0."""
+    width = len(columns)
+    height = len(columns[0]) if columns else 0
+    red, pivots = rref([[col[r] for col in columns] for r in range(height)])
     pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
+    for free in range(width):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [Q0] * width
+        v[free] = Q1
         for k, p in enumerate(pivots):
             v[p] = -red[k][free]
         basis.append(v)
     return basis
-
-
-def solve_in_span(columns: list[Vector], target: Vector,
-                  column_order: list[int] | None = None) -> Vector | None:
-    """Coefficients expressing ``target`` in the span of ``columns``."""
-    if not columns:
-        return [] if all(x == 0 for x in target) else None
-    rows = [[col[r] for col in columns] for r in range(len(target))]
-    return solve(rows, target, column_order)
-
-
-class PresolvedSystem:
-    """A coefficient matrix factored once for many right-hand sides.
-
-    Row-reduces the matrix augmented with the identity, recording the row
-    transform; each later solve costs one matrix-vector product instead of
-    a fresh elimination.  Solutions match ``solve`` (free variables zero).
-    """
-
-    def __init__(self, rows: Matrix, ncols: int | None = None):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else (ncols or 0)
-        aug = [row[:] + [Q1 if i == j else Q0 for j in range(self.nrows)]
-               for i, row in enumerate(rows)]
-        red, pivots = rref(aug)
-        self.pivots = [p for p in pivots if p < self.ncols]
-        self.transform = [row[self.ncols:] for row in red]
-
-    def solve(self, rhs: Vector) -> Vector | None:
-        support = [(k, b) for k, b in enumerate(rhs) if b]
-        reduced = [sum((row[k] * b for k, b in support), Q0)
-                   for row in self.transform]
-        for k in range(len(self.pivots), self.nrows):
-            if reduced[k] != 0:
-                return None
-        x = [Q0] * self.ncols
-        for k, p in enumerate(self.pivots):
-            x[p] = reduced[k]
-        return x

@@ -110,7 +110,7 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
         order = None
         if pivot_order == "backward":
             order = list(range(len(columns)))[::-1]
-        sol = linalg.solve_in_span(columns, rhs, column_order=order)
+        sol = linalg.solve(columns, rhs, column_order=order)
         if sol is None:
             raise RuntimeError(f"no bounding 3-chain in internal degree {d}; "
                                "H_2 triviality must have been violated")
@@ -175,7 +175,7 @@ def d2_composition(cls: HomologyClass) -> HTensorLie:
         single = TreeCombination(n).add_diagram(t, 1)
         columns.append(list(phi_class(single, k_plus_1).coords))
     target = list(cls.coords)
-    sol = linalg.solve_in_span(columns, target)
+    sol = linalg.solve(columns, target)
     if sol is None:
         raise RuntimeError("class is outside the fission image; the span "
                            "rank must be deficient")

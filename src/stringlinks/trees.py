@@ -338,7 +338,7 @@ def eta_inverse(value: HTensorLie) -> TreeCombination:
         span = enumerate_trees(n, d)
         columns = [eta(t).coordinates(d) for t in span]
         target = component.coordinates(d)
-        sol = linalg.solve_in_span(columns, target)
+        sol = linalg.solve(columns, target)
         if sol is None:
             raise RuntimeError(f"enumerated degree-{d} trees failed to span; "
                                "this indicates an enumeration bug")

@@ -84,6 +84,10 @@ def test_powers_parse_in_one_pass():
     braid = parse_braid("[A(1,2) , A(1,3)]^8000", 3)
     assert time.perf_counter() - start < 1
     assert len(braid) == 32000
+    start = time.perf_counter()
+    braid = parse_braid(" ".join(["A(1,2) A(2,3)^-1"] * 10000), 3)
+    assert time.perf_counter() - start < 1
+    assert braid == parse_braid("A(1,2) A(2,3)^-1", 3) ** 10000
     assert parse_braid("[A(1,2) , A(1,3)]^-3", 3) == (
         parse_braid("[A(1,3) , A(1,2)]", 3) ** 3)
 
@@ -178,6 +182,10 @@ def test_homology_rank_zero_exit_code(capsys):
     code, _, err = run(capsys, "homology", "--n", "0", "--k", "3")
     assert code == EXIT_PARSE
     assert "--n" in err
+    # H_3 of the class-0 quotient is refused as an argument, like --k 0
+    code, _, err = run(capsys, "homology", "--n", "3", "--k", "1")
+    assert code == EXIT_PARSE
+    assert "--k must be >= 2" in err
 
 
 def test_level_command(capsys):
@@ -209,6 +217,13 @@ def test_expansion_build_and_check(capsys, tmp_path):
     code, out, _ = run(capsys, "expansion", "check", str(path), "--format", "json")
     assert code == EXIT_PRECONDITION
     assert json.loads(out)["special"] is False
+    # n = 1: the randomized build's correction systems have no rows
+    path = tmp_path / "theta1.json"
+    code, _, _ = run(capsys, "expansion", "build", "--n", "1", "--trunc", "3",
+                     "--strategy", "randomized", "--out", str(path))
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, "expansion", "check", str(path))
+    assert code == EXIT_OK
 
 
 def test_homology_command(capsys):

@@ -115,6 +115,9 @@ def test_build_special_pinned_output():
 def test_build_special_n1():
     theta = build_special(1, 4)
     assert theta.images[0] == TensorSeries.generator(1, 4, 1).exp()
+    # the n = 1 correction systems have no rows but keep their one unknown
+    theta = build_special(1, 3, strategy="randomized", seed=1)
+    assert is_special(theta).is_special
 
 
 def test_randomized_builds_differ_and_verify():
