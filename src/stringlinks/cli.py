@@ -18,11 +18,12 @@ JSON files: {"n": ..., "truncation": ..., "words": [[gen, exp], ...] per
 strand}.
 
 Exit codes: 0 success, 2 argument or input parse error (including
-``--n``, ``--k`` or ``--trunc`` below 1, ``homology --k`` below 2,
-brackets nested too deeply, a JSON input file of the wrong shape or
-encoding, and an input path that cannot be read), 3 violated
-mathematical precondition (filtration, speciality, scale), 4 internal
-invariant failure.  All randomness is seed-controlled and echoed in the
+``--n``, ``--k``, ``--trunc`` or ``--max-k`` below 1, ``homology --k``
+below 2, brackets nested too deeply, a JSON input file of the wrong shape
+or encoding, and an input path that cannot be read), 3 violated
+mathematical precondition (filtration, speciality, scale, a longitude
+file whose strand count differs from ``--n``), 4 internal invariant
+failure.  All randomness is seed-controlled and echoed in the
 output, and output is byte-deterministic given the configuration.
 """
 
@@ -239,7 +240,11 @@ def load_expansion(path: str) -> Expansion:
 
 def _resolve_input(args) -> "Braid | LongitudeTuple":
     if getattr(args, "longitude_file", None):
-        return load_longitude_tuple(args.longitude_file)
+        data = load_longitude_tuple(args.longitude_file)
+        if data.n != args.n:
+            raise ValueError(f"strand count does not match: the longitude file "
+                             f"has n={data.n}, --n is {args.n}")
+        return data
     return parse_braid(args.braid or "", args.n)
 
 
@@ -264,10 +269,6 @@ def _emit(args, document: dict, text: str) -> None:
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(text)
-
-
-def _invariant_text(value) -> str:
-    return str(value) if not value.is_zero() else "0"
 
 
 def _output_dir(args) -> str:
@@ -295,7 +296,7 @@ def cmd_milnor(args) -> int:
         value = truncated_milnor(data, theta, args.k)
     doc = {"command": "milnor", "mode": args.mode, "n": args.n, "k": args.k,
            "entries": value.to_json_entries(), **meta}
-    _emit(args, doc, _invariant_text(value))
+    _emit(args, doc, str(value))
     return EXIT_OK
 
 
@@ -397,7 +398,7 @@ def cmd_morita(args) -> int:
     lines = [f"class: {lhs}",
              f"diagram commutes: {lhs == rhs}",
              f"degree-{args.k + 1} projection:",
-             _invariant_text(mu_next)]
+             str(mu_next)]
     _emit(args, doc, "\n".join(lines))
     return EXIT_OK if lhs == rhs else EXIT_INTERNAL
 
@@ -531,12 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("n", "k", "trunc"):
+    for flag in ("n", "k", "trunc", "max_k"):
         value = getattr(args, flag, None)
         # H_3 of the class-(k-1) quotient needs k - 1 >= 1
         least = 2 if (args.command, flag) == ("homology", "k") else 1
         if value is not None and value < least:
-            print(f"error: --{flag} must be >= {least}", file=sys.stderr)
+            print(f"error: --{flag.replace('_', '-')} must be >= {least}",
+                  file=sys.stderr)
             return EXIT_PARSE
     try:
         return args.func(args)

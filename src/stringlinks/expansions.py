@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .lie import (LieElement, bracket_map_matrix, conjugator, is_grouplike,
-                  lyndon_words)
-from .linalg import Q0, Q1
+from .lie import (LieElement, bracket_map_matrix, conjugator, h_tensor_l_basis,
+                  is_grouplike, lyndon_words)
+from .linalg import Q1
 from .tensor import (Substitution, TensorSeries, Wd, by_degree, convolve,
                      power_series)
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
@@ -348,15 +348,10 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
         if top.is_zero() and rng is None:
             continue
 
-        domain = [(i, w) for i in range(1, n + 1) for w in lyndon_words(n, m)]
-        codomain = lyndon_words(n, m + 1)
-        cod_index = {w: k for k, w in enumerate(codomain)}
-        rhs = [Q0] * len(codomain)
-        for w, c in top.coeffs.items():
-            rhs[cod_index[w]] = c  # sum_i [u_i, X_i] = -top cancels top
-        # the corrector system sum_i [X_i, u_i] = r, u_i in L_m
+        # the corrector system sum_i [X_i, u_i] = top, u_i in L_m: then
+        # sum_i [u_i, X_i] = -top cancels top
         columns = bracket_map_matrix(n, m)
-        solution = linalg.solve(columns, rhs)
+        solution = linalg.solve(columns, top.vector(lyndon_words(n, m + 1)))
         if solution is None:
             raise RuntimeError("corrector system inconsistent; the bracket "
                                "contraction should be onto")
@@ -369,8 +364,7 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
         # order, multiplied together first so the dense conjugator is
         # multiplied once per step
         corrections = [TensorSeries.one(n, trunc) for _ in range(n)]
-        for col, (i, w) in enumerate(domain):
-            c = solution[col]
+        for (i, w), c in zip(h_tensor_l_basis(n, m), solution):
             if c:
                 factor = LieElement(n, {w: c}).to_tensor(trunc).exp()
                 corrections[i - 1] = corrections[i - 1] * factor

@@ -12,7 +12,9 @@ internal degree (the sum of member degrees), so all linear algebra runs
 per internal-degree block.  A homology block is read off one reduced
 echelon form of ``[image | kernel]``: its pivot columns are the columns
 that raise the rank, left to right in Lyndon-lexicographic tuple order,
-so homology bases and projections are reproducible across runs.
+so homology bases and projections are reproducible across runs.  A
+homology class (``HomologyClass``) is a ``Combination`` over those
+representatives, graded by their internal degrees.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import LieElement, lyndon_words
-from .linalg import Q0, Q1, Combination, add_to
+from .linalg import Q1, Combination, add_to
 
 IndexTuple = tuple[int, ...]
 
@@ -207,19 +209,12 @@ def exterior_basis(basis: NilpotentBasis, p: int, d: int) -> tuple[IndexTuple, .
     return tuple(out)
 
 
-def _boundary_columns(basis: NilpotentBasis, p: int, d: int) -> tuple[list, list]:
+def _boundary_columns(basis: NilpotentBasis, p: int,
+                      d: int) -> tuple[list, tuple[IndexTuple, ...]]:
     """Columns of d_p on the degree-d block, plus the codomain tuple list."""
-    domain = exterior_basis(basis, p, d)
     codomain = exterior_basis(basis, p - 1, d)
-    cod_index = {t: k for k, t in enumerate(codomain)}
-    columns = []
-    for t in domain:
-        image = boundary(ExteriorChain(basis, p, {t: Q1}))
-        col = [Q0] * len(codomain)
-        for tt, c in image.coeffs.items():
-            col[cod_index[tt]] = c
-        columns.append(col)
-    return columns, list(codomain)
+    return ([boundary(ExteriorChain(basis, p, {t: Q1})).vector(codomain)
+             for t in exterior_basis(basis, p, d)], codomain)
 
 
 class NotACycleError(ValueError):
@@ -235,7 +230,6 @@ class HomologyBlock:
     """
 
     tuples: tuple[IndexTuple, ...]
-    tuple_index: dict[IndexTuple, int]
     image_basis: list[list[Fraction]]
     reps: list[list[Fraction]]
     cycles: int
@@ -278,7 +272,6 @@ class HomologyBasis:
         split = len(image_cols)
         return HomologyBlock(
             tuples=domain,
-            tuple_index={t: k for k, t in enumerate(domain)},
             image_basis=[image_cols[c] for c in pivots if c < split],
             reps=[kernel[c - split] for c in pivots if c >= split],
             cycles=len(kernel))
@@ -297,9 +290,8 @@ class HomologyBasis:
     def representative(self, k: int) -> ExteriorChain:
         d, inside = self.rep_index[k]
         block = self.blocks[d]
-        vec = block.reps[inside]
         return ExteriorChain(self.basis, self.p,
-                             {t: c for t, c in zip(block.tuples, vec) if c})
+                             dict(zip(block.tuples, block.reps[inside])))
 
     def project(self, chain: ExteriorChain) -> "HomologyClass":
         """Class of a cycle; raises NotACycleError otherwise."""
@@ -307,28 +299,23 @@ class HomologyBasis:
             raise ValueError("chain lives in the wrong complex")
         if not boundary(chain).is_zero():
             raise NotACycleError("chain is not a cycle")
-        coords = [Q0] * self.dimension
+        coeffs = {}
         offset = 0
         for d in sorted(self.blocks):
             block = self.blocks[d]
-            nreps = len(block.reps)
             component = chain.degree_component(d)
             if not component.is_zero():
-                target = [Q0] * len(block.tuples)
-                for t, c in component.coeffs.items():
-                    target[block.tuple_index[t]] = c
-                columns = block.image_basis + block.reps
-                sol = linalg.solve(columns, target)
+                sol = linalg.solve(block.image_basis + block.reps,
+                                   component.vector(block.tuples))
                 if sol is None:
                     raise RuntimeError("cycle failed to project; homology basis "
                                        "is corrupt")
-                for k in range(nreps):
-                    coords[offset + k] = sol[len(block.image_basis) + k]
-            offset += nreps
-        return HomologyClass(self, tuple(coords))
+                coeffs.update(enumerate(sol[len(block.image_basis):], start=offset))
+            offset += len(block.reps)
+        return HomologyClass(self, coeffs)
 
     def zero_class(self) -> "HomologyClass":
-        return HomologyClass(self, tuple([Q0] * self.dimension))
+        return HomologyClass(self)
 
     def fingerprint(self) -> str:
         """Stable hash of the representative matrix, for cross-run comparison."""
@@ -344,69 +331,47 @@ def homology(p: int, n: int, degree_cap: int) -> HomologyBasis:
     return HomologyBasis(p, n, degree_cap)
 
 
-class HomologyClass:
-    """Coordinates of a homology class over a fixed HomologyBasis."""
+class HomologyClass(Combination):
+    """A homology class over a fixed HomologyBasis.
 
-    __slots__ = ("homology", "coords")
+    Keyed by representative index k; the degree of a key is the internal
+    degree ``rep_index[k][0]`` of its representative.  Classes over
+    different bases never mix.
+    """
 
-    def __init__(self, homology_basis: HomologyBasis, coords: tuple[Fraction, ...]):
-        if len(coords) != homology_basis.dimension:
-            raise ValueError("coordinate length mismatch")
+    __slots__ = ("homology",)
+
+    def __init__(self, homology_basis: HomologyBasis,
+                 coeffs: dict[int, Fraction] | None = None):
         self.homology = homology_basis
-        self.coords = coords
+        super().__init__(coeffs)
 
-    def _check(self, other: "HomologyClass") -> None:
-        if self.homology is not other.homology:
-            raise ValueError("classes over different homology bases")
+    def _space(self) -> tuple[HomologyBasis]:
+        return (self.homology,)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HomologyClass)
-                and self.homology is other.homology
-                and self.coords == other.coords)
+    def _new(self, coeffs: dict) -> "HomologyClass":
+        return HomologyClass(self.homology, coeffs)
 
-    def __add__(self, other: "HomologyClass") -> "HomologyClass":
-        self._check(other)
-        return HomologyClass(self.homology,
-                             tuple(a + b for a, b in zip(self.coords, other.coords)))
+    def _degree(self, k: int) -> int:
+        return self.homology.rep_index[k][0]
 
-    def __sub__(self, other: "HomologyClass") -> "HomologyClass":
-        self._check(other)
-        return HomologyClass(self.homology,
-                             tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, s) -> "HomologyClass":
-        s = Fraction(s)
-        return HomologyClass(self.homology, tuple(s * c for c in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def degree_component(self, d: int) -> "HomologyClass":
-        """Component in one internal degree of the graded decomposition."""
-        coords = list(self.coords)
-        for k, (deg, _) in enumerate(self.homology.rep_index):
-            if deg != d:
-                coords[k] = Q0
-        return HomologyClass(self.homology, tuple(coords))
-
-    def nonzero_degrees(self) -> list[int]:
-        return sorted({self.homology.rep_index[k][0]
-                       for k, c in enumerate(self.coords) if c})
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Coordinates over all representatives, zeros included."""
+        return tuple(self.coefficient(k) for k in range(self.homology.dimension))
 
     def to_json_dict(self) -> dict:
         return {
             "homology": {"p": self.homology.p, "n": self.homology.n,
                          "degreeCap": self.homology.degree_cap,
                          "fingerprint": self.homology.fingerprint()},
-            "coordinates": [{"degree": self.homology.rep_index[k][0],
-                             "value": str(c)} for k, c in enumerate(self.coords)],
+            "coordinates": [{"degree": self._degree(k), "value": str(c)}
+                            for k, c in enumerate(self.coords)],
         }
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        return ", ".join(f"e{k}[deg {self.homology.rep_index[k][0]}]: {c}"
-                         for k, c in enumerate(self.coords) if c)
+        return ", ".join(f"e{k}[deg {self._degree(k)}]: {c}"
+                         for k, c in sorted(self.coeffs.items())) or "0"
 
 
 def phi_class(comb, k: int) -> HomologyClass:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Q0, Q1, Combination, add_to
+from .linalg import Q1, Combination, add_to
 from .tensor import TensorSeries, Wd
 
 
@@ -225,10 +224,6 @@ class LieElement(Combination):
             raise ValueError("not primitive: nonzero constant term")
         return cls(series.n, _extract_lyndon(series.coeffs))
 
-    def truncated(self, max_degree: int) -> "LieElement":
-        return LieElement(self.n,
-                          {w: c for w, c in self.coeffs.items() if len(w) <= max_degree})
-
     def bracket(self, other: "LieElement", max_degree: int | None = None) -> "LieElement":
         """[self, other], keeping only degrees <= max_degree when one is given.
 
@@ -270,51 +265,57 @@ class LieElement(Combination):
 
 # -- H (x) L: carriers of invariant values ------------------------------------
 
-@dataclass(frozen=True)
-class HTensorLie:
-    """An element sum_i X_i (x) Y_i of H tensor the free Lie algebra."""
+@functools.lru_cache(maxsize=None)
+def h_tensor_l_basis(n: int, d: int) -> tuple[tuple[int, Wd], ...]:
+    """The keys (i, w) of H (x) L_d: generator index, then Lyndon word."""
+    return tuple((i, w) for i in range(1, n + 1) for w in lyndon_words(n, d))
 
-    n: int
-    entries: tuple[LieElement, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.n:
-            raise ValueError("need one Lie partner per generator")
-        for y in self.entries:
-            if y.n != self.n:
-                raise ValueError("entry rank mismatch")
+class HTensorLie(Combination):
+    """An element sum_i X_i (x) Y_i of H tensor the free Lie algebra.
+
+    Keyed by pairs (i, w): the coefficient of X_i (x) beta(w).
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int, coeffs: dict[tuple[int, Wd], Fraction] | None = None):
+        self.n = n
+        super().__init__(coeffs)
+
+    def _space(self) -> tuple[int]:
+        return (self.n,)
+
+    def _new(self, coeffs: dict) -> "HTensorLie":
+        return HTensorLie(self.n, coeffs)
+
+    @staticmethod
+    def _degree(key: tuple[int, Wd]) -> int:
+        return len(key[1])
 
     @classmethod
     def zero(cls, n: int) -> "HTensorLie":
-        return cls(n, tuple(LieElement.zero(n) for _ in range(n)))
+        return cls(n)
 
-    def __add__(self, other: "HTensorLie") -> "HTensorLie":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return HTensorLie(self.n, tuple(a + b for a, b in zip(self.entries, other.entries)))
+    @classmethod
+    def from_entries(cls, n: int, entries) -> "HTensorLie":
+        """sum_i X_i (x) entries[i-1], from one Lie partner per generator."""
+        if len(entries) != n:
+            raise ValueError("need one Lie partner per generator")
+        coeffs = {}
+        for i, y in enumerate(entries, start=1):
+            if y.n != n:
+                raise ValueError("entry rank mismatch")
+            coeffs.update(((i, w), c) for w, c in y.coeffs.items())
+        return cls(n, coeffs)
 
-    def __sub__(self, other: "HTensorLie") -> "HTensorLie":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return HTensorLie(self.n, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, s) -> "HTensorLie":
-        return HTensorLie(self.n, tuple(y.scale(s) for y in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(y.is_zero() for y in self.entries)
-
-    def degree_component(self, d: int) -> "HTensorLie":
-        return HTensorLie(self.n, tuple(y.degree_component(d) for y in self.entries))
-
-    def degree_range(self, lo: int, hi: int) -> "HTensorLie":
-        """Entries restricted to degrees lo..hi inclusive."""
-        return HTensorLie(self.n, tuple(
-            LieElement(self.n, {w: c for w, c in y.coeffs.items() if lo <= len(w) <= hi})
-            for y in self.entries))
-
-    def degrees(self) -> list[int]:
-        return sorted({d for y in self.entries for d in y.degrees()})
+    @property
+    def entries(self) -> tuple[LieElement, ...]:
+        """The Lie partners Y_1..Y_n."""
+        parts: list[dict] = [{} for _ in range(self.n)]
+        for (i, w), c in self.coeffs.items():
+            parts[i - 1][w] = c
+        return tuple(LieElement(self.n, part) for part in parts)
 
     def bracket_map(self) -> LieElement:
         """sum_i [X_i, Y_i], the value of the bracket contraction."""
@@ -327,44 +328,34 @@ class HTensorLie:
         return self.bracket_map().is_zero()
 
     def coordinates(self, d: int) -> list[Fraction]:
-        """Coordinates of the degree-d part in the (i, Lyndon word) basis."""
-        basis = lyndon_words(self.n, d)
-        vec = []
-        for i in range(1, self.n + 1):
-            y = self.entries[i - 1]
-            vec.extend(y.coeffs.get(w, Q0) for w in basis)
-        return vec
+        """Coordinates over ``h_tensor_l_basis(n, d)``; other degrees raise ValueError."""
+        return self.vector(h_tensor_l_basis(self.n, d))
+
+    def sorted_terms(self) -> list[tuple[tuple[int, Wd], Fraction]]:
+        return sorted(self.coeffs.items(),
+                      key=lambda t: (t[0][0], len(t[0][1]), t[0][1]))
 
     def to_json_entries(self) -> list[dict]:
-        out = []
-        for i, y in enumerate(self.entries, start=1):
-            for w, c in y.sorted_terms():
-                out.append({"i": i, "lyndonWord": list(w),
-                            "bracketing": bracketing_str(w),
-                            "coefficient": str(c)})
-        return out
+        return [{"i": i, "lyndonWord": list(w), "bracketing": bracketing_str(w),
+                 "coefficient": str(c)} for (i, w), c in self.sorted_terms()]
 
     def __str__(self) -> str:
-        lines = []
-        for i, y in enumerate(self.entries, start=1):
-            for w, c in y.sorted_terms():
-                lines.append(f"X{i} (x) {c} * {bracketing_str(w)}")
-        return "\n".join(lines) if lines else "0"
+        return "\n".join(f"X{i} (x) {c} * {bracketing_str(w)}"
+                         for (i, w), c in self.sorted_terms()) or "0"
+
+
+def bracket_block(n: int, d: int, i: int) -> list[list[Fraction]]:
+    """Columns of u |-> [X_i, u] on L_d, over the Lyndon words of degree d + 1."""
+    codomain = lyndon_words(n, d + 1)
+    x_i = LieElement.generator(n, i)
+    return [x_i.bracket(LieElement(n, {w: Q1})).vector(codomain)
+            for w in lyndon_words(n, d)]
 
 
 def bracket_map_matrix(n: int, d: int) -> list[list[Fraction]]:
-    """Columns of H (x) L_d -> L_{d+1}; column (i, w) is [X_i, w] over Lyndon words."""
-    codomain = lyndon_words(n, d + 1)
-    cod_index = {w: k for k, w in enumerate(codomain)}
-    columns = []
-    for i in range(1, n + 1):
-        for w in lyndon_words(n, d):
-            col = [Q0] * len(codomain)
-            image = LieElement.generator(n, i).bracket(LieElement(n, {w: Q1}))
-            for ww, c in image.coeffs.items():
-                col[cod_index[ww]] = c
-            columns.append(col)
-    return columns
+    """Columns of H (x) L_d -> L_{d+1}: the ``bracket_block`` of each i in turn,
+    so column (i, w), in ``h_tensor_l_basis`` order, is [X_i, w]."""
+    return [col for i in range(1, n + 1) for col in bracket_block(n, d, i)]
 
 
 def d_dimension(n: int, d: int) -> int:
@@ -389,19 +380,13 @@ def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieEleme
     for d in range(1, max_degree + 1):
         current = _exp_ad(y, i, d + 1)
         residue = (target - current).degree_component(d + 1)
-        codomain = lyndon_words(n, d + 1)
-        cod_index = {w: k for k, w in enumerate(codomain)}
-        rhs = [Q0] * len(codomain)
-        for w, c in residue.coeffs.items():
-            rhs[cod_index[w]] = -c  # [u, X_i] = -[X_i, u]
-        # [X_i, u] = r with u of degree d: block i of the bracket columns
-        domain = lyndon_words(n, d)
-        block = bracket_map_matrix(n, d)[(i - 1) * len(domain):i * len(domain)]
-        sol = linalg.solve(block, rhs)
+        # [u, X_i] = -[X_i, u]: solve [X_i, u] = -residue for u of degree d
+        sol = linalg.solve(bracket_block(n, d, i),
+                           (-residue).vector(lyndon_words(n, d + 1)))
         if sol is None:
             raise ValueError(f"target is not conjugate to X{i}: "
                              f"obstruction in degree {d + 1}")
-        update = {domain[k]: sol[k] for k in range(len(domain)) if sol[k]}
+        update = dict(zip(lyndon_words(n, d), sol))
         if d == 1:
             update.pop((i,), None)  # normalisation: no X_i component
         y = y + LieElement(n, update)

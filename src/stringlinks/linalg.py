@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals: sparse combinations and dense matrices.
 
 Every value the library computes is a finite rational combination over
-some basis (tensor words, Lyndon words, exterior tuples, tree diagrams);
-``Combination`` holds the zero-free arithmetic they share, and
-``add_to`` is its one accumulation step.
+some basis: tensor words (``TensorSeries``), Lyndon words
+(``LieElement``), (generator, Lyndon word) pairs (``HTensorLie``),
+exterior tuples (``ExteriorChain``), tree diagrams (``TreeCombination``)
+and homology representatives (``HomologyClass``).  ``Combination`` holds
+the zero-free arithmetic they share, ``add_to`` is its one accumulation
+step, and ``Combination.vector`` is the one reader of a dense coordinate
+list over an ordered basis; ``dict(zip(keys, coordinates))`` through the
+zero-dropping constructor is the way back.
 
 Every linear system the library meets (the bracket contraction behind
 special expansions and conjugators, Koszul homology, boundary solving,
@@ -17,6 +22,7 @@ formats or pivoting heuristics beyond determinism.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 Q0 = Fraction(0)
@@ -95,8 +101,13 @@ class Combination:
         s = Fraction(s)
         return self._new({k: s * c for k, c in self.coeffs.items()} if s else {})
 
+    def degree_range(self, lo: int, hi: int):
+        """The terms of degrees lo..hi inclusive."""
+        return self._new({k: c for k, c in self.coeffs.items()
+                          if lo <= self._degree(k) <= hi})
+
     def degree_component(self, d: int):
-        return self._new({k: c for k, c in self.coeffs.items() if self._degree(k) == d})
+        return self.degree_range(d, d)
 
     def degrees(self) -> list[int]:
         return sorted({self._degree(k) for k in self.coeffs})
@@ -107,6 +118,23 @@ class Combination:
 
     def max_degree(self) -> int | None:
         return max(map(self._degree, self.coeffs), default=None)
+
+    def vector(self, keys: tuple) -> Vector:
+        """Coefficients over an ordered key tuple; a term outside it raises ValueError."""
+        index = _positions(keys)
+        out = [Q0] * len(keys)
+        for k, c in self.coeffs.items():
+            j = index.get(k)
+            if j is None:
+                raise ValueError(f"term {k!r} lies outside the given basis")
+            out[j] = c
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(keys: tuple) -> dict:
+    """Position of each key in an ordered basis, built once per basis."""
+    return {k: j for j, k in enumerate(keys)}
 
 
 def _copy(rows: Matrix) -> Matrix:

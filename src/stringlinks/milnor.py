@@ -115,7 +115,7 @@ class SpecialAutData:
                 "this indicates a bug in the Artin computation")
 
     def invariant(self) -> HTensorLie:
-        return HTensorLie(self.n, self.entries)
+        return HTensorLie.from_entries(self.n, self.entries)
 
 
 def _as_longitudes(data: Braid | LongitudeTuple) -> LongitudeTuple:
@@ -192,7 +192,7 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
             if s:
                 b = b * TensorSeries.generator(n, t, i).scale(s).exp()
                 lam = LieElement.from_tensor(b.log())
-            new_entries.append(lam.truncated(max_degree))
+            new_entries.append(lam.degree_range(1, max_degree))
         new_entries = tuple(new_entries)
         if t == trunc and new_entries == entries:
             break

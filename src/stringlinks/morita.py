@@ -31,8 +31,8 @@ from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
                      nilpotent_basis)
 from .lie import HTensorLie
 from .milnor import FiltrationError, special_artin
-from .linalg import Q0
-from .trees import TreeCombination, enumerate_trees, eta, eta_inverse
+from .linalg import Q1
+from .trees import TreeCombination, enumerate_trees, eta_combination, eta_inverse
 from .words import Braid, LongitudeTuple
 
 
@@ -72,13 +72,10 @@ def sigma(inp: MoritaInput) -> ExteriorChain:
     value = inp.conjugating_data()
     basis = nilpotent_basis(inp.theta.n, 2 * k + 1)
     chain = ExteriorChain.zero(basis, 2)
-    for i in range(1, inp.theta.n + 1):
+    # Y_i lives in degrees k+1..2k+1, so one wedge per i sums over l
+    for i, y in enumerate(value.entries, start=1):
         x_i = basis.element(basis.index[(i,)])
-        y = value.entries[i - 1]
-        for l in range(k + 1, 2 * k + 2):
-            part = y.degree_component(l)
-            if not part.is_zero():
-                chain = chain + ExteriorChain.wedge(basis, [x_i, part])
+        chain = chain + ExteriorChain.wedge(basis, [x_i, y])
     defect = boundary(chain)
     if not defect.is_zero():
         raise RuntimeError("sigma is not a cycle; speciality of the Artin "
@@ -103,10 +100,7 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
     coords = {}
     for d in target.degrees():
         columns, codomain = _boundary_columns(basis, 3, d)
-        cod_index = {t: j for j, t in enumerate(codomain)}
-        rhs = [Q0] * len(codomain)
-        for t, c in target.degree_component(d).coeffs.items():
-            rhs[cod_index[t]] = c
+        rhs = target.degree_component(d).vector(codomain)
         order = None
         if pivot_order == "backward":
             order = list(range(len(columns)))[::-1]
@@ -114,7 +108,7 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
         if sol is None:
             raise RuntimeError(f"no bounding 3-chain in internal degree {d}; "
                                "H_2 triviality must have been violated")
-        coords.update((t, c) for t, c in zip(exterior_basis(basis, 3, d), sol) if c)
+        coords.update(zip(exterior_basis(basis, 3, d), sol))
     return ExteriorChain(basis, 3, coords)
 
 
@@ -170,17 +164,10 @@ def d2_composition(cls: HomologyClass) -> HTensorLie:
     span = []
     for l in range(k_plus_1, 2 * k_plus_1 - 1):
         span.extend(enumerate_trees(n, l))
-    columns = []
-    for t in span:
-        single = TreeCombination(n).add_diagram(t, 1)
-        columns.append(list(phi_class(single, k_plus_1).coords))
-    target = list(cls.coords)
-    sol = linalg.solve(columns, target)
+    columns = [phi_class(TreeCombination(n, {t: Q1}), k_plus_1).coords for t in span]
+    sol = linalg.solve(columns, cls.coords)
     if sol is None:
         raise RuntimeError("class is outside the fission image; the span "
                            "rank must be deficient")
-    out = HTensorLie.zero(n)
-    for t, c in zip(span, sol):
-        if c and t.degree == k_plus_1:
-            out = out + eta(t).scale(c)
-    return out
+    preimage = TreeCombination(n, dict(zip(span, sol)))
+    return eta_combination(preimage.degree_component(k_plus_1))

@@ -39,7 +39,7 @@ from fractions import Fraction
 from . import linalg
 from .koszul import ExteriorChain, NilpotentBasis
 from .lie import HTensorLie, LieElement
-from .linalg import Combination
+from .linalg import Combination, add_to
 
 MAX_COLORS = 4
 MAX_DEGREE = 5
@@ -262,10 +262,11 @@ class TreeCombination(Combination):
 
 def eta(diagram: TreeDiagram) -> HTensorLie:
     """sum over leaves v of col(v) (x) comm of the diagram rooted at v."""
-    entries = [LieElement.zero(diagram.n) for _ in range(diagram.n)]
+    coeffs: dict = {}
     for color, expr in diagram.presentations():
-        entries[color - 1] = entries[color - 1] + _expr_lie(diagram.n, expr)
-    return HTensorLie(diagram.n, tuple(entries))
+        for w, c in _expr_lie(diagram.n, expr).coeffs.items():
+            add_to(coeffs, (color, w), c)
+    return HTensorLie(diagram.n, coeffs)
 
 
 def eta_combination(comb: TreeCombination) -> HTensorLie:
@@ -332,20 +333,16 @@ def eta_inverse(value: HTensorLie) -> TreeCombination:
     n = value.n
     if not value.in_bracket_kernel():
         raise ValueError("value is not in the kernel of the bracket map")
-    out = TreeCombination.zero(n)
+    coeffs = {}
     for d in value.degrees():
-        component = value.degree_component(d)
         span = enumerate_trees(n, d)
-        columns = [eta(t).coordinates(d) for t in span]
-        target = component.coordinates(d)
-        sol = linalg.solve(columns, target)
+        sol = linalg.solve([eta(t).coordinates(d) for t in span],
+                           value.degree_component(d).coordinates(d))
         if sol is None:
             raise RuntimeError(f"enumerated degree-{d} trees failed to span; "
                                "this indicates an enumeration bug")
-        for t, c in zip(span, sol):
-            if c:
-                out = out.add_diagram(t, c)
-    return out
+        coeffs.update(zip(span, sol))
+    return TreeCombination(n, coeffs)
 
 
 def fission(diagram: TreeDiagram, basis: NilpotentBasis) -> ExteriorChain:

@@ -38,7 +38,7 @@ def magnus_degree_oracle(data, k):
     for image in longitude_magnus_images(data, k):
         component = {w: Fraction(c) for w, c in image.items() if len(w) == k}
         entries.append(LieElement.from_tensor(TensorSeries(data.n, k, component)))
-    return HTensorLie(data.n, tuple(entries))
+    return HTensorLie.from_entries(data.n, tuple(entries))
 
 
 def test_criterion_01_braid_relations():
@@ -61,7 +61,7 @@ def test_criterion_02_linking_number_layer():
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             braid = Braid.gen(n, i, j)
-            expected = HTensorLie(n, tuple(
+            expected = HTensorLie.from_entries(n, tuple(
                 LieElement.generator(n, j) if m == i
                 else LieElement.generator(n, i) if m == j
                 else LieElement.zero(n)

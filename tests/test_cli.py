@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -131,9 +132,12 @@ def test_well_formed_files_failing_preconditions_exit_code(capsys, tmp_path):
     longitudes = tmp_path / "longitudes.json"
     longitudes.write_text(json.dumps({"n": 3, "truncation": None,
                                       "words": [[], [], []]}))
-    code, _, _ = run(capsys, "milnor", "--longitude-file", str(longitudes),
-                     "--n", "2", "--k", "1")
-    assert code == EXIT_PRECONDITION
+    for command in ("milnor", "trees", "longitudes", "level"):
+        argv = ["--k", "1"] if command in ("milnor", "trees") else []
+        code, out, err = run(capsys, command, "--longitude-file", str(longitudes),
+                             "--n", "2", *argv)
+        assert code == EXIT_PRECONDITION, command
+        assert out == "" and "strand count does not match" in err
     theta = tmp_path / "theta.json"  # image of x_1 is 1 + 2 X_1
     theta.write_text(json.dumps({"n": 1, "truncation": 2, "images": [[
         {"word": [], "coefficient": "1"}, {"word": [1], "coefficient": "2"}]]}))
@@ -176,6 +180,14 @@ def test_total_mode_rejects_trunc_below_one(capsys):
                        "--mode", "total", "--trunc", "0")
     assert code == EXIT_PARSE
     assert "--trunc" in err
+
+
+@pytest.mark.parametrize("max_k", ["0", "-3"])
+def test_level_rejects_max_k_below_one(capsys, max_k):
+    code, _, err = run(capsys, "level", "--braid", "A(1,2)", "--n", "2",
+                       "--max-k", max_k)
+    assert code == EXIT_PARSE
+    assert "--max-k must be >= 1" in err
 
 
 def test_homology_rank_zero_exit_code(capsys):
@@ -261,6 +273,23 @@ def test_verify_command(capsys):
                        "--k", "2")
     assert code == EXIT_OK
     assert "[FAIL]" not in out
+
+
+# sha256 of the JSON output on [A(1,2), A(1,3)] at n = 3: the rendering of
+# invariant entries, tree terms and homology classes must not move
+@pytest.mark.parametrize("argv, digest", [
+    (("milnor", "--mode", "truncated", "--k", "2"),
+     "ffaa22e2f20e97c56b024eae7920164140f47a9d1b50c656bdea07ff88cc0b67"),
+    (("trees", "--k", "2"),
+     "74c131c36548ea1a66fee3fce752e1913012634eff5dc1d72c4cbec7cd29f4ef"),
+    (("morita", "--k", "1"),
+     "66c4983bcea63a77cfafe7801f2f4f4dc8cc87dac8519d45aa8ae7e09f74c93f"),
+], ids=["milnor-truncated", "trees", "morita"])
+def test_pinned_json_output(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv, "--braid", "[A(1,2), A(1,3)]", "--n", "3",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_output_is_deterministic(capsys):

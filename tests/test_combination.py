@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from stringlinks.koszul import ExteriorChain, exterior_basis, nilpotent_basis
-from stringlinks.lie import LieElement, lyndon_words
+from stringlinks.koszul import (ExteriorChain, HomologyClass, exterior_basis,
+                                homology, nilpotent_basis)
+from stringlinks.lie import HTensorLie, LieElement, h_tensor_l_basis, lyndon_words
 from stringlinks.linalg import Combination
 from stringlinks.tensor import TensorSeries
 from stringlinks.trees import TreeCombination, enumerate_trees
@@ -34,6 +35,12 @@ def lie_element(space, rng):
     return LieElement(n, _random_coeffs(words, rng))
 
 
+def h_tensor_l(space, rng):
+    (n,) = space
+    keys = [key for d in range(1, 4) for key in h_tensor_l_basis(n, d)]
+    return HTensorLie(n, _random_coeffs(keys, rng))
+
+
 def exterior_chain(space, rng):
     (n, cap), p = space
     basis = nilpotent_basis(n, cap)
@@ -47,14 +54,22 @@ def tree_combination(space, rng):
     return TreeCombination(n, _random_coeffs(trees, rng))
 
 
+def homology_class(space, rng):
+    basis = homology(*space)
+    return HomologyClass(basis, _random_coeffs(range(basis.dimension), rng))
+
+
 # each type with two spaces that must not mix
 CASES = [
     (tensor_series, (2, 3), (2, 4)),
     (lie_element, (2,), (3,)),
+    (h_tensor_l, (2,), (3,)),
     (exterior_chain, ((2, 2), 2), ((2, 2), 3)),
     (tree_combination, (2,), (3,)),
+    (homology_class, (3, 3, 2), (3, 2, 3)),
 ]
-IDS = ["TensorSeries", "LieElement", "ExteriorChain", "TreeCombination"]
+IDS = ["TensorSeries", "LieElement", "HTensorLie", "ExteriorChain",
+       "TreeCombination", "HomologyClass"]
 
 
 @pytest.mark.parametrize("make,space,other_space", CASES, ids=IDS)
@@ -98,3 +113,12 @@ def test_shared_arithmetic(make, space, other_space, seed):
     same = (x + y) - y
     assert same == x and hash(same) == hash(x)
     assert len({x, same, y + x - y}) == 1
+
+    # vector reads the coefficients over an ordered basis, zeros included,
+    # and refuses a term outside it; dict(zip(...)) is the way back
+    keys = tuple(dict.fromkeys([*x.coeffs, *y.coeffs]))
+    vec = x.vector(keys)
+    assert len(vec) == len(keys) and all(type(c) is Fraction for c in vec)
+    assert x._new(dict(zip(keys, vec))) == x
+    with pytest.raises(ValueError):
+        x.vector(keys[1:])

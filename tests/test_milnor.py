@@ -27,7 +27,7 @@ def magnus_degree_oracle(data, k):
     for image in longitude_magnus_images(data, k):
         component = {w: Fraction(c) for w, c in image.items() if len(w) == k}
         entries.append(LieElement.from_tensor(TensorSeries(n, k, component)))
-    return HTensorLie(n, tuple(entries))
+    return HTensorLie.from_entries(n, tuple(entries))
 
 
 def test_conjugator_basics():
@@ -136,7 +136,7 @@ def test_mu2_of_standard_commutator_frozen_value():
     corpus = nested_commutator_corpus()
     theta = shared_expansion(3, 4)
     value = milnor_degree(corpus["level2"][0], theta, 2)
-    expected = HTensorLie(3, (
+    expected = HTensorLie.from_entries(3, (
         LieElement(3, {(2, 3): Fraction(-1)}),
         LieElement(3, {(1, 3): Fraction(1)}),
         LieElement(3, {(1, 2): Fraction(-1)}),

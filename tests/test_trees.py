@@ -82,8 +82,8 @@ def test_comm_paper_shaped_example():
 def test_eta_single_edge():
     t, s = build(2, 1, 2)
     assert s == 1
-    assert eta(t) == HTensorLie(2, (LieElement.generator(2, 2),
-                                    LieElement.generator(2, 1)))
+    assert eta(t) == HTensorLie.from_entries(2, (LieElement.generator(2, 2),
+                                                 LieElement.generator(2, 1)))
 
 
 def test_eta_lands_in_bracket_kernel():
@@ -104,7 +104,7 @@ def test_eta_respects_antisymmetry_signs():
         for r, ex in _presentations(root, expr):
             entries = list(direct.entries)
             entries[r - 1] = entries[r - 1] + _expr_lie(n, ex)
-            direct = HTensorLie(n, tuple(entries))
+            direct = HTensorLie.from_entries(n, tuple(entries))
         if t is None:
             assert direct.is_zero()
         else:
@@ -148,7 +148,8 @@ def test_eta_inverse_round_trip():
 
 
 def test_eta_inverse_single_edge():
-    value = HTensorLie(2, (LieElement.generator(2, 2), LieElement.generator(2, 1)))
+    value = HTensorLie.from_entries(2, (LieElement.generator(2, 2),
+                                        LieElement.generator(2, 1)))
     comb = eta_inverse(value)
     t, _ = build(2, 1, 2)
     assert comb.coeffs == {t: Fraction(1)}
@@ -156,7 +157,7 @@ def test_eta_inverse_single_edge():
 
 
 def test_eta_inverse_requires_kernel_membership():
-    bad = HTensorLie(2, (LieElement.generator(2, 2), LieElement.zero(2)))
+    bad = HTensorLie.from_entries(2, (LieElement.generator(2, 2), LieElement.zero(2)))
     with pytest.raises(ValueError):
         eta_inverse(bad)
 
