@@ -389,13 +389,19 @@ def filtration_degree(data: Braid | LongitudeTuple, max_k: int) -> int:
 
     Detected through the Magnus expansion: a word lies in the k-th lower
     central series term exactly when its Magnus image is 1 + (degree >= k).
+    The images are built at truncations 1, 2, 4, ... capped at max_k, and
+    the search stops at the first truncation where some image has a term of
+    positive degree: truncation leaves the low-degree coefficients alone, so
+    that lowest degree is already exact.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
-    level = max_k
-    for image in longitude_magnus_images(data, max_k):
-        lowest = min((len(w) for w in image if w), default=None)
-        if lowest is not None:
-            level = min(level, lowest)
-    return level
+    trunc = 1
+    while True:
+        trunc = min(trunc, max_k)
+        images = longitude_magnus_images(data, trunc)
+        lowest = min((len(w) for image in images for w in image if w), default=None)
+        if lowest is not None or trunc == max_k:
+            return lowest or max_k
+        trunc *= 2
 

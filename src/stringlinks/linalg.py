@@ -14,15 +14,19 @@ Every linear system the library meets (the bracket contraction behind
 special expansions and conjugators, Koszul homology, boundary solving,
 eta-inversion) is given by its columns, one vector per unknown, and goes
 through one exact solve (``solve``) or one kernel (``kernel``); both run
-on the one reduced row echelon loop (``rref``).  Everything is
-Fraction-exact; no floats are allowed anywhere in the library.  Sizes stay
-at desk scale (a few hundred rows), so there is no need for sparse
-formats or pivoting heuristics beyond determinism.
+on the one reduced row echelon loop (``rref``).  ``rref`` eliminates on
+integer rows kept primitive and forms ``Fraction``s only when it normalises
+the pivot rows on return; the reduced row echelon form under a fixed pivot
+rule is unique, so its output is exactly that of Fraction elimination.
+Everything is Fraction-exact; no floats are allowed anywhere in the
+library.  Sizes stay at desk scale (a few hundred rows), so there is no
+need for sparse formats or pivoting heuristics beyond determinism.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 Q0 = Fraction(0)
@@ -137,38 +141,50 @@ def _positions(keys: tuple) -> dict:
     return {k: j for j, k in enumerate(keys)}
 
 
-def _copy(rows: Matrix) -> Matrix:
-    return [row[:] for row in rows]
-
-
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
     Pivots are chosen left to right, first nonzero row wins: the result is
     deterministic for a given input, which downstream code relies on for
     reproducible basis choices.
+
+    Fraction-free, after Bareiss (Math. Comp. 22, 1968): rows are scaled
+    to integers by the lcm of their denominators, a pivot p clears an entry
+    f as (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), and each new row is
+    divided by its gcd, so rows stay integer and primitive.  Every row is a
+    nonzero multiple of the row Fraction elimination would hold, so the
+    pivots agree, and the reduced form, being unique, is the same entry for
+    entry; ``Fraction``s are formed only when the pivot rows are normalised
+    on return.
     """
-    m = _copy(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    m = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(row, top)]
+                h = math.gcd(*row)
+                m[i] = [x // h for x in row] if h > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
+    for k, row in enumerate(m):
+        p = row[pivots[k]] if k < r else 1
+        m[k] = [Fraction(x, p) if x else Q0 for x in row]
     return m, pivots
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import random
 
-from stringlinks import Braid, build_special, filtration_degree, linalg
+from stringlinks import Braid, build_special, filtration_degree
 from stringlinks.tensor import Q0
 from stringlinks.words import braid_commutator
 
@@ -120,8 +120,40 @@ def is_grouplike_by_coproduct(series):
     return all(len(left) + len(right) > series.trunc for left, right in cop)
 
 
+def rref_reference(rows):
+    """Reduced row echelon form and pivot columns by Fraction elimination.
+
+    An oracle for the fraction-free ``linalg.rref``: the same pivot rule
+    (leftmost column, first nonzero row at or below the current one), with
+    one Fraction multiply and subtract per cell.
+    """
+    m = [row[:] for row in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
 def column_rank(columns):
-    """Rank of the matrix with the given columns."""
+    """Rank of the matrix with the given columns, by the Fraction oracle."""
     if not columns:
         return 0
-    return linalg.rank([[col[r] for col in columns] for r in range(len(columns[0]))])
+    return len(rref_reference([[col[r] for col in columns]
+                               for r in range(len(columns[0]))])[1])

@@ -205,6 +205,11 @@ def test_level_command(capsys):
                        "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["level"] == 2
+    # the level shows at truncation 2, so --max-k 12 builds no degree-12 series
+    code, out, _ = run(capsys, "level", "--n", "3", "--max-k", "12",
+                       "--braid", "[A(1,2), A(1,3)]")
+    assert code == EXIT_OK
+    assert out.strip() == "2"
 
 
 def test_longitudes_command(capsys):

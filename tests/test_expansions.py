@@ -180,3 +180,17 @@ def test_filtration_degree():
     assert filtration_degree(g12, 5) == 1
     assert filtration_degree(braid_commutator(g12, g13), 5) == 2
     assert filtration_degree(braid_commutator(g12, braid_commutator(g12, g13)), 5) == 3
+
+
+def test_filtration_degree_matches_full_truncation():
+    # the early stop must agree with the lowest degree at truncation max_k
+    rng = seeded(43)
+    for max_k in range(1, 7):
+        for _ in range(5):
+            b = random_braid(3, rng.randint(0, 3), rng)
+            for _ in range(rng.randint(0, 2)):
+                b = braid_commutator(b, random_braid(3, rng.randint(1, 2), rng))
+            lowest = min((len(w) for image in braid_magnus_images(b, max_k)
+                          for w in image if w), default=max_k)
+            assert filtration_degree(b, max_k) == lowest
+            assert filtration_degree(longitudes(b), max_k) == lowest

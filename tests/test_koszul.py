@@ -200,7 +200,8 @@ def test_pinned_homology_bases(p, n, cap, fingerprint, dimension):
 
 
 def test_boundary_columns_are_exact_fractions():
-    # int entries would turn into floats in rref's division
+    # the columns are kept as boundary images and fed to rref_reference through
+    # column_rank; int entries would turn into floats in its division
     basis = nilpotent_basis(3, 2)
     for p in (2, 3, 4):
         for d in range(p, 2 * p + 1):

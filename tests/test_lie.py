@@ -165,7 +165,9 @@ def test_bracket_map_matrix_is_onto():
     for n, l in [(2, 2), (3, 2), (3, 3)]:
         m = bracket_map_matrix(n, l)
         assert linalg.rank(m) == witt_dim(n, l + 1)
-        # int entries would turn into floats in rref's division
+        # a public matrix holds Fractions, so every caller's division stays
+        # exact; int entries would turn into floats in a true division, as in
+        # the Fraction oracle rref_reference
         assert all(type(c) is Fraction for col in m for c in col)
 
 
