@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import linalg
 from .lie import LieElement, lyndon_words
-from .linalg import Q1, Combination, add_to
+from .linalg import Q0, Q1, Combination, add_to
 
 IndexTuple = tuple[int, ...]
 
@@ -318,10 +318,13 @@ class HomologyBasis:
         return HomologyClass(self)
 
     def fingerprint(self) -> str:
-        """Stable hash of the representative matrix, for cross-run comparison."""
-        payload = repr((self.p, self.n, self.degree_cap,
-                        [(d, [[str(c) for c in rep] for rep in blk.reps])
-                         for d, blk in sorted(self.blocks.items())]))
+        """Stable hash of the representative matrix, for cross-run comparison;
+        the hashed text is ``repr((p, n, degree_cap, [(d, [[str(c), ...]])]))``."""
+        def text(rep):
+            return "[" + ", ".join(["'0'" if c is Q0 else repr(str(c)) for c in rep]) + "]"
+        blocks = ", ".join(f"({d}, [{', '.join(map(text, blk.reps))}])"
+                           for d, blk in sorted(self.blocks.items()))
+        payload = f"({self.p}, {self.n}, {self.degree_cap}, [{blocks}])"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
