@@ -408,7 +408,8 @@ def cmd_verify(args) -> int:
     checks: list[tuple[str, bool]] = []
     level = filtration_degree(data, max_k=args.k or 6)
     k = args.k or max(level, 1)
-    theta, meta = _resolve_expansion(args, required_truncation(k))
+    # the degree-k checks need truncation k + 1, the refined ones run at k - 1
+    theta, meta = _resolve_expansion(args, max(k + 1, required_truncation(k - 1)))
     report = is_special(theta)
     checks.append(("expansion is special", report.is_special))
     aut = special_artin(data, theta)

@@ -20,12 +20,14 @@ minimal-support row-reduced solution of that linear system; the
 randomized strategy adds a seeded random kernel element, yielding a
 genuinely different special expansion for independence tests.
 
-Long words are evaluated through their integer Magnus images
-(``magnus_integer``, and ``braid_magnus_images`` for the longitudes of a
-braid, whose cost does not grow with the longitudes' length).  The
-substitution S(X_j) = theta(x_j) - 1, one per truncation, maps such an
-image to theta(word) by one linear combination.  Every product here runs
-through the shared kernel of ``tensor``.
+A word is multiplied out under a generator map by one loop,
+``_word_image``: short words under theta itself, and long words through
+their integer Magnus images (``magnus_integer``, and
+``braid_magnus_images`` for the longitudes of a braid, whose cost does not
+grow with the longitudes' length).  The substitution
+S(X_j) = theta(x_j) - 1 maps such an image to theta(word) by one linear
+combination.  Every product here runs through the shared kernel of
+``tensor``.
 """
 
 from __future__ import annotations
@@ -45,22 +47,33 @@ from .tensor import (Substitution, TensorSeries, Wd, by_degree, convolve,
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
 
 
-def magnus_integer(n: int, trunc: int, letters) -> dict[Wd, int]:
-    """Integer coefficients of the standard Magnus image of a word.
+def _word_image(letters, factors: list[dict], trunc: int, inverses: dict) -> dict:
+    """The product over letters (g, e) of factors[g-1] ** e, through degree trunc.
 
-    Each letter multiplies by 1 + X_g or by its inverse, the geometric
-    series sum_m (-X_g)^m; both are integral, so everything stays in
-    Python ints.  This is the fast path for very long longitude words.
+    Factors are degree buckets with constant term 1, whose type (int or
+    Fraction) the product keeps.  Each inverse is formed once by
+    ``power_series`` and kept in ``inverses``, which callers may share
+    between words over the same factors.
     """
-    factors: dict[tuple[int, int], dict] = {}
-    acc: dict[Wd, int] = {(): 1}
+    one = factors[0][0][0][1]  # the constant term: 1 in the coefficient ring
+    acc = {(): one}
     for g, e in letters:
-        factor = factors.get((g, e))
-        if factor is None:
-            factor = factors[g, e] = by_degree(
-                {(g,) * m: e ** m for m in range(2 if e == 1 else trunc + 1)})
+        factor = factors[g - 1] if e == 1 else inverses.get(g)
+        if factor is None:  # 1 / (1 + v) = sum (-v)^m
+            factor = inverses[g] = by_degree(power_series(
+                factors[g - 1], [(-1) ** m * one for m in range(trunc + 1)], trunc))
         acc = convolve(by_degree(acc), factor, trunc)
     return acc
+
+
+def magnus_integer(n: int, trunc: int, letters) -> dict[Wd, int]:
+    """Integer coefficients of the standard Magnus image x_g |-> 1 + X_g of a word.
+
+    The inverse of 1 + X_g is sum_m (-X_g)^m, so everything stays in Python
+    ints; this is the fast path for very long longitude words.
+    """
+    factors = [{0: [((), 1)], 1: [((g,), 1)]} for g in range(1, n + 1)]
+    return _word_image(letters, factors, trunc, {})
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,35 +92,17 @@ def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
     exponentially.
     """
     n = braid.n
-    signs = [(-1) ** m for m in range(trunc + 1)]  # 1 / (1 + v) = sum (-v)^m
-    one: dict[Wd, int] = {(): 1}
     action = [{(): 1, (j,): 1} for j in range(1, n + 1)]
-    longs: list[dict[Wd, int]] = [dict(one) for _ in range(n)]
+    longs: list[dict[Wd, int]] = [{(): 1} for _ in range(n)]
     for i, j, e in braid.letters:
-        inverses: dict[int, dict[Wd, int]] = {}
-
-        def image_of_word(word: Word) -> dict[Wd, int]:
-            out = dict(one)
-            for g, ex in word.letters:
-                if ex == 1:
-                    factor = action[g - 1]
-                else:
-                    factor = inverses.get(g)
-                    if factor is None:
-                        factor = inverses[g] = power_series(
-                            by_degree(action[g - 1]), signs, trunc)
-                out = convolve(by_degree(out), by_degree(factor), trunc)
-            return out
-
-        letter_longs = _letter_longitudes(n, i, j, e)
-        new_longs = [convolve(by_degree(image_of_word(letter_longs[k])),
-                              by_degree(longs[k]), trunc)
-                     for k in range(n)]
+        factors = [by_degree(a) for a in action]
+        inverses: dict[int, dict] = {}
+        longs = [convolve(by_degree(_word_image(y.letters, factors, trunc, inverses)),
+                          by_degree(old), trunc)
+                 for y, old in zip(_letter_longitudes(n, i, j, e), longs)]
         gen_words = _generator_images(n, i, j, e)
-        new_action = [image_of_word(gen_words[k]) if k in gen_words else action[k - 1]
-                      for k in range(1, n + 1)]
-        longs = new_longs
-        action = new_action
+        action = [_word_image(gen_words[k].letters, factors, trunc, inverses)
+                  if k in gen_words else action[k - 1] for k in range(1, n + 1)]
     return longs
 
 
@@ -116,7 +111,7 @@ _DENSE_EVAL_CUTOFF = 24
 
 
 class Expansion:
-    """A Magnus expansion with cached word evaluation."""
+    """A Magnus expansion, given by the images theta(x_1), ..., theta(x_n)."""
 
     def __init__(self, n: int, trunc: int, images: tuple[TensorSeries, ...]):
         if len(images) != n:
@@ -132,11 +127,8 @@ class Expansion:
         self.n = n
         self.trunc = trunc
         self.images = images
-        self._inverses = tuple(img.inverse() for img in images)
-        self._word_cache: dict[tuple, TensorSeries] = {}
         # special_artin results by (input letters, max_degree)
         self._artin_cache: dict[tuple, object] = {}
-        self._substitutions: dict[int, Substitution] = {}
         self._speciality: SpecialityReport | None = None
 
     def __eq__(self, other) -> bool:
@@ -146,11 +138,11 @@ class Expansion:
     def evaluate(self, word: Word, trunc: int | None = None) -> TensorSeries:
         """theta(word), multiplicative over letters.
 
-        Short words multiply the cached generator images directly.  Long
-        words go through the integer Magnus route: the word's Magnus image
-        is computed once in integers, and ``magnus_substitution`` turns it
-        into theta(word) by one linear combination instead of one dense
-        series product per letter.
+        Short words multiply the generator images (or their inverses)
+        letter by letter.  Long words go through the integer Magnus route:
+        the word's Magnus image is computed once in integers, and
+        ``magnus_substitution`` turns it into theta(word) by one linear
+        combination instead of one dense series product per letter.
         """
         if word.n != self.n:
             raise ValueError("word rank does not match expansion")
@@ -160,33 +152,13 @@ class Expansion:
         if len(word.letters) >= _DENSE_EVAL_CUTOFF:
             image = magnus_integer(self.n, trunc, word.letters)
             return self.magnus_substitution(trunc).combine(image)
-        return self._eval_letters(word.letters).truncate(trunc)
+        factors = [by_degree(img.truncate(trunc).coeffs) for img in self.images]
+        return TensorSeries(self.n, trunc, _word_image(word.letters, factors, trunc, {}))
 
     def magnus_substitution(self, trunc: int) -> Substitution:
-        """S(X_j) = theta(x_j) - 1 at truncation trunc, built once per truncation.
-
-        S sends the Magnus image of a word to its theta image.
-        """
-        sub = self._substitutions.get(trunc)
-        if sub is None:
-            one = TensorSeries.one(self.n, trunc)
-            sub = self._substitutions[trunc] = Substitution(
-                [img.truncate(trunc) - one for img in self.images])
-        return sub
-
-    def _eval_letters(self, letters: tuple) -> TensorSeries:
-        if not letters:
-            return TensorSeries.one(self.n, self.trunc)
-        if len(letters) == 1:
-            g, e = letters[0]
-            return self.images[g - 1] if e == 1 else self._inverses[g - 1]
-        cached = self._word_cache.get(letters)
-        if cached is None:
-            half = len(letters) // 2
-            cached = self._eval_letters(letters[:half]) * self._eval_letters(letters[half:])
-            if len(letters) <= 64:  # bound the cache to short-ish subwords
-                self._word_cache[letters] = cached
-        return cached
+        """S(X_j) = theta(x_j) - 1 at truncation trunc: Magnus image to theta image."""
+        one = TensorSeries.one(self.n, trunc)
+        return Substitution([img.truncate(trunc) - one for img in self.images])
 
     def boundary_image(self) -> TensorSeries:
         if self.n == 1:  # free group machinery wants rank >= 2
@@ -290,9 +262,7 @@ def _speciality(theta: Expansion) -> SpecialityReport:
     if not_tangential:
         return SpecialityReport(False, True, False, False, None, failure=not_tangential)
 
-    target = TensorSeries.zero(n, trunc)
-    for i in range(1, n + 1):
-        target = target + TensorSeries.generator(n, trunc, i)
+    target = TensorSeries(n, trunc, {(i,): Q1 for i in range(1, n + 1)})
     defect = theta.boundary_image() - target.exp()
     if not defect.is_zero():
         return SpecialityReport(False, True, True, False, tuple(witnesses),

@@ -359,8 +359,8 @@ def bracket_map_matrix(n: int, d: int) -> list[list[Fraction]]:
 
 
 def d_dimension(n: int, d: int) -> int:
-    """dim of the kernel of the bracket map on H (x) L_d, computed by rank."""
-    return n * witt_dim(n, d) - linalg.rank(bracket_map_matrix(n, d))
+    """dim of the kernel of the bracket map H (x) L_d -> L_{d+1}, which is onto."""
+    return n * witt_dim(n, d) - witt_dim(n, d + 1)
 
 
 def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieElement:

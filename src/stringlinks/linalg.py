@@ -188,10 +188,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
-
-
 def solve(columns: list[Vector], target: Vector,
           column_order: list[int] | None = None) -> Vector | None:
     """Coefficients x with sum_j x_j columns[j] = target, or None if inconsistent.

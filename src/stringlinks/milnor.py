@@ -140,10 +140,8 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
     report = is_special(theta)
     if not report.is_special:
         raise ValueError(f"expansion is not special: {report.failure}")
-    if isinstance(data, LongitudeTuple):
+    if not isinstance(data, Braid):
         data = _as_longitudes(data)  # boundary-condition validation
-    elif not isinstance(data, Braid):
-        raise TypeError(f"expected Braid or LongitudeTuple, got {type(data).__name__}")
     if data.n != theta.n:
         raise ValueError("strand count does not match the expansion")
     n = theta.n

@@ -28,9 +28,9 @@ from . import linalg
 from .expansions import Expansion
 from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
                      _boundary_columns, boundary, exterior_basis, homology,
-                     nilpotent_basis)
+                     nilpotent_basis, phi_class)
 from .lie import HTensorLie
-from .milnor import FiltrationError, special_artin
+from .milnor import _require_filtration, special_artin
 from .linalg import Q1
 from .trees import TreeCombination, enumerate_trees, eta_combination, eta_inverse
 from .words import Braid, LongitudeTuple
@@ -60,9 +60,7 @@ class MoritaInput:
     def conjugating_data(self) -> HTensorLie:
         value = special_artin(self.data, self.theta,
                               max_degree=2 * self.k + 1).invariant()
-        for d in value.degrees():
-            if d < self.k + 1:
-                raise FiltrationError(self.k + 1, d)
+        _require_filtration(value, self.k + 1)
         return value
 
 
@@ -131,8 +129,6 @@ def diagram_sides(inp: MoritaInput) -> tuple[HomologyClass, HomologyClass]:
     The fission route sends the truncated invariant (degrees k+1..2k)
     through eta-inversion into tree diagrams and applies the fission map.
     """
-    from .koszul import phi_class
-
     k = inp.k
     value = inp.conjugating_data().degree_range(k + 1, 2 * k)
     trees = eta_inverse(value)
@@ -154,8 +150,6 @@ def d2_composition(cls: HomologyClass) -> HTensorLie:
     kernel of fission and eta on the enumerated span, which eta then
     kills, so the output is well defined.
     """
-    from .koszul import phi_class
-
     cap = cls.homology.degree_cap
     if cls.homology.p != 3:
         raise ValueError("d2 composition expects an H_3 class")

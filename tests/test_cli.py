@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from stringlinks import cli
 from stringlinks.cli import (BraidSyntaxError, EXIT_OK, EXIT_PARSE,
                              EXIT_PRECONDITION, main, parse_braid)
 from stringlinks.words import Braid, braid_commutator
@@ -280,6 +281,25 @@ def test_verify_command(capsys):
     assert "[FAIL]" not in out
 
 
+@pytest.mark.parametrize("k, trunc", [("1", 2), ("2", 4)])
+def test_verify_sizes_expansions_by_its_checks(capsys, monkeypatch, k, trunc):
+    # the degree-k checks need truncation k + 1 and the refined checks at
+    # k - 1 need 2k, so both expansions are built at max(k + 1, 2k)
+    asked = []
+    build = cli.build_special
+
+    def recording(n, t, *args, **kwargs):
+        asked.append(t)
+        return build(n, t, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_special", recording)
+    code, out, _ = run(capsys, "verify", "--braid", "[A(1,2), A(1,3)]", "--n", "3",
+                       "--k", k)
+    assert code == EXIT_OK
+    assert "[FAIL]" not in out
+    assert asked == [trunc, trunc]
+
+
 # sha256 of the JSON output on [A(1,2), A(1,3)] at n = 3: the rendering of
 # invariant entries, tree terms and homology classes must not move
 @pytest.mark.parametrize("argv, digest", [
@@ -289,7 +309,9 @@ def test_verify_command(capsys):
      "74c131c36548ea1a66fee3fce752e1913012634eff5dc1d72c4cbec7cd29f4ef"),
     (("morita", "--k", "1"),
      "66c4983bcea63a77cfafe7801f2f4f4dc8cc87dac8519d45aa8ae7e09f74c93f"),
-], ids=["milnor-truncated", "trees", "morita"])
+    (("verify", "--k", "2"),
+     "95401a03731aeb659c18eb8c34d484232b28a2b526c46ee73066286fdec7bd89"),
+], ids=["milnor-truncated", "trees", "morita", "verify"])
 def test_pinned_json_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv, "--braid", "[A(1,2), A(1,3)]", "--n", "3",
                        "--format", "json")

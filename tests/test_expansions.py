@@ -159,9 +159,12 @@ def test_dense_evaluation_matches_direct():
     rng = seeded(15)
     letters = [(rng.randint(1, 2), rng.choice([1, -1])) for _ in range(60)]
     w = Word.of(2, letters)
-    dense = theta.evaluate(w)                 # long word: integer route
-    direct = theta._eval_letters(w.letters)   # plain product of images
+    dense = theta.evaluate(w)  # long word: integer route
+    direct = TensorSeries.one(2, 4)
+    for letter in w.letters:   # one-letter words: the images and their inverses
+        direct = direct * theta.evaluate(Word.of(2, [letter]))
     assert dense == direct
+    assert all(type(c) is Fraction for c in direct.coeffs.values())
 
 
 def test_braid_magnus_images_match_longitude_words():

@@ -101,11 +101,24 @@ def test_projection_rejects_non_cycles():
 
 def test_igusa_orr_dimensions_small():
     # dim H_3 of the class-(k-1) quotient equals the sum of bracket-kernel
-    # dimensions in degrees k..2k-2 (both sides by independent rank oracles)
+    # dimensions in degrees k..2k-2: the left side by elimination in the
+    # Koszul complex, the right side by Witt-number arithmetic
     for n, k in [(2, 2), (2, 3), (3, 2)]:
         lhs = homology(3, n, k - 1).dimension
         rhs = sum(d_dimension(n, l) for l in range(k, 2 * k - 1))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_h3_dimension_per_internal_degree(n, k):
+    # H_3 of the class-k quotient in internal degree d is the bracket-kernel
+    # dimension n W(n, d-1) - W(n, d) for k+2 <= d <= 2k+1 and zero in every
+    # other degree (a degree without chains has no block in the table): a
+    # Witt-number count against the per-block elimination
+    table = homology(3, n, k).degree_table()
+    found = {d: row["homology"] for d, row in table.items() if row["homology"]}
+    expected = {d: n * witt_dim(n, d - 1) - witt_dim(n, d) for d in range(k + 2, 2 * k + 2)}
+    assert found == {d: dim for d, dim in expected.items() if dim}
 
 
 def test_homology_degree_components_sum():

@@ -69,6 +69,13 @@ def test_special_artin_identity():
     assert total_milnor(Braid.identity(2), theta).is_zero()
 
 
+def test_special_artin_rejects_other_inputs():
+    theta = shared_expansion(2, 4)
+    for data in (Word.gen(2, 1), "A(1,2)"):
+        with pytest.raises(TypeError):
+            special_artin(data, theta)
+
+
 def test_special_artin_degree_one():
     theta = shared_expansion(2, 4)
     aut = special_artin(Braid.gen(2, 1, 2), theta)
