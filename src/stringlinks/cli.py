@@ -181,7 +181,8 @@ def _rank(doc, key: str) -> int | None:
 def _longitude_shape(doc) -> bool:
     n = _rank(doc, "words")
     return (n is not None
-            and (doc.get("truncation") is None or _is_int(doc["truncation"]))
+            and (doc.get("truncation") is None
+                 or _is_int(doc["truncation"]) and doc["truncation"] >= 1)
             and all(isinstance(letters, list)
                     and all(_is_int_list(letter, 2) and 1 <= letter[0] <= n
                             and letter[1] in (1, -1) for letter in letters)
@@ -224,7 +225,7 @@ def _load_json(path: str, shape_ok, expected: str):
 
 def load_longitude_tuple(path: str) -> LongitudeTuple:
     doc = _load_json(path, _longitude_shape, 'a longitude tuple {"n": int, '
-                     '"truncation": int or null, "words": [[[gen, exp], ...], ...]}')
+                     '"truncation": int >= 1 or null, "words": [[[gen, exp], ...], ...]}')
     n = doc["n"]
     words = tuple(Word.of(n, (tuple(l) for l in letters)) for letters in doc["words"])
     return LongitudeTuple(n, words, doc.get("truncation"))

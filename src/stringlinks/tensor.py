@@ -6,12 +6,13 @@ truncation degree is an explicit part of every value: operations on
 series with different (n, trunc) raise instead of silently re-truncating;
 ``truncate`` exists for deliberate reductions.
 
-All series arithmetic of the library runs through one kernel here, which
-works on coefficient dicts grouped by degree and serves Fraction series
-and the integer Magnus images alike: ``convolve`` is the one truncated
-product, ``power_series`` the one loop summing a(m) v^m (behind exp, log
-and inverse), and ``Substitution`` the one table of word images, kept as
-integer numerators over a denominator.
+All series arithmetic of the library runs through one kernel here, on
+integer coefficient dicts grouped by degree: ``convolve`` is the one
+truncated product, ``power_series`` the one loop summing a(m) v^m (behind
+exp, log and inverse), and ``Substitution`` the one table of word images.
+Products, exp, log and inverse run on one integer form of their operands
+(the numerators over the lcm of the denominators, by degree) and form one
+``Fraction`` per output term, not one per term pair.
 
 The Hopf structure (generators primitive) has no code here, and this
 module knows nothing of Lie structure: ``lie`` decides primitivity and
@@ -86,7 +87,7 @@ def power_series(buckets: dict[int, list], coefficients: list, trunc: int) -> di
 
 
 class TensorSeries(Combination):
-    __slots__ = ("n", "trunc", "_buckets")
+    __slots__ = ("n", "trunc")
 
     def __init__(self, n: int, trunc: int, coeffs: dict[Wd, Fraction] | None = None):
         if n < 1:
@@ -96,7 +97,6 @@ class TensorSeries(Combination):
         self.n = n
         self.trunc = trunc
         super().__init__(coeffs)
-        self._buckets = None  # degree buckets, filled by the first product
 
     def _space(self) -> tuple[int, int]:
         return self.n, self.trunc
@@ -150,20 +150,30 @@ class TensorSeries(Combination):
 
     # -- arithmetic --------------------------------------------------------
 
-    def _by_degree(self) -> dict[int, list[tuple[Wd, Fraction]]]:
-        """Terms grouped by degree, computed once per series (coeffs never change)."""
-        if self._buckets is None:
-            self._buckets = by_degree(self.coeffs)
-        return self._buckets
+    def _integral(self) -> tuple[int, dict[int, list[tuple[Wd, int]]]]:
+        """(den, buckets): the numerators over den, the lcm of the denominators,
+        grouped by degree.  Not cached: holding it costs memory and saves no time."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        return den, by_degree(
+            {w: c.numerator * (den // c.denominator) for w, c in self.coeffs.items()})
+
+    def _over(self, nums: dict[Wd, int], den: int) -> "TensorSeries":
+        return TensorSeries(self.n, self.trunc,
+                            {w: Fraction(v, den) for w, v in nums.items()})
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
         self._check(other)
-        return TensorSeries(self.n, self.trunc, convolve(
-            self._by_degree(), other._by_degree(), self.trunc))
+        (d1, left), (d2, right) = self._integral(), other._integral()
+        return self._over(convolve(left, right, self.trunc), d1 * d2)
 
     def _power_series(self, coefficients: list[Fraction]) -> "TensorSeries":
-        return TensorSeries(self.n, self.trunc, power_series(
-            self._by_degree(), coefficients, self.trunc))
+        # with v = B / den, a(m) v^m = b(m) B^m / L for the integers
+        # b(m) = a(m) L / den^m, L = lcm_m(q_m den^m), q_m the denominator of a(m)
+        den, buckets = self._integral()
+        scales = [a.denominator * den ** m for m, a in enumerate(coefficients)]
+        lcm = math.lcm(*scales)
+        b = [a.numerator * (lcm // q) for a, q in zip(coefficients, scales)]
+        return self._over(power_series(buckets, b, self.trunc), lcm)
 
     def inverse(self) -> "TensorSeries":
         """Multiplicative inverse; requires constant term 1."""
@@ -225,11 +235,7 @@ class Substitution:
             images[0]._check(img)
         self.n = n
         self.trunc = trunc
-        self._generators = []  # (den, numerator buckets) of each image
-        for img in images:
-            den = math.lcm(*(c.denominator for c in img.coeffs.values()))
-            self._generators.append(
-                (den, by_degree({w: int(c * den) for w, c in img.coeffs.items()})))
+        self._generators = [img._integral() for img in images]
         self._table: dict[Wd, tuple[int, dict[Wd, int]]] = {(): (1, {(): 1})}
 
     def _entry(self, word: Wd) -> tuple[int, dict[Wd, int]]:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: cached expansions, braid corpora and
-reference oracles that share no code with the library's own decisions."""
+reference oracles.  The oracles share no code with the library's own
+decisions, except the Fraction series oracles, which run the kernel's own
+loops and so check the integer scaling around them."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import functools
 import random
 
 from stringlinks import Braid, build_special, filtration_degree
-from stringlinks.tensor import Q0
+from stringlinks.tensor import Q0, TensorSeries, by_degree, convolve, power_series
 from stringlinks.words import braid_commutator
 
 
@@ -118,6 +120,26 @@ def is_grouplike_by_coproduct(series):
                 return False
     # anything left over in the coproduct support must lie past the truncation
     return all(len(left) + len(right) > series.trunc for left, right in cop)
+
+
+def product_by_fractions(a, b):
+    """a * b by the kernel's convolution run on Fraction coefficients.
+
+    ``TensorSeries`` multiplies integer numerators over a common
+    denominator; this oracle skips that scaling and multiplies and adds one
+    ``Fraction`` per term pair.
+    """
+    a._check(b)
+    return TensorSeries(a.n, a.trunc, convolve(by_degree(a.coeffs), by_degree(b.coeffs),
+                                               a.trunc))
+
+
+def power_series_by_fractions(series, coefficients):
+    """sum_m coefficients[m] * v^m, v the series without its constant term,
+    by the kernel's ``power_series`` run on Fraction coefficients: an oracle
+    for ``exp``, ``log`` and ``inverse``, which scale both to integers."""
+    return TensorSeries(series.n, series.trunc, power_series(
+        by_degree(series.coeffs), coefficients, series.trunc))
 
 
 def rref_reference(rows):

@@ -113,6 +113,20 @@ def test_malformed_longitude_file_exit_code(capsys, tmp_path, doc):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("truncation", [0, -3])
+@pytest.mark.parametrize("command", [["level"], ["milnor", "--k", "1"], ["longitudes"]],
+                         ids=["level", "milnor", "longitudes"])
+def test_longitude_file_truncation_below_one_exit_code(capsys, tmp_path, command,
+                                                       truncation):
+    # a trust level below 1 trusts no degree: the file is malformed, not data
+    path = tmp_path / "longitudes.json"
+    path.write_text(json.dumps({"n": 3, "truncation": truncation,
+                                "words": [[[2, 1], [3, 1], [2, -1], [3, -1]], [], []]}))
+    code, out, err = run(capsys, *command, "--n", "3", "--longitude-file", str(path))
+    assert code == EXIT_PARSE
+    assert out == "" and "parse error" in err
+
+
 MAGNUS_X1 = [{"word": [], "coefficient": "1"}, {"word": [1], "coefficient": "1"}]
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from stringlinks.lie import bch, is_grouplike, is_primitive
 from stringlinks.tensor import Substitution, TensorSeries, by_degree, convolve
 
-from support import is_grouplike_by_coproduct, is_primitive_by_coproduct, seeded
+from support import (is_grouplike_by_coproduct, is_primitive_by_coproduct,
+                     power_series_by_fractions, product_by_fractions, seeded)
 
 
 def gen(n, N, i):
@@ -186,6 +187,46 @@ def test_substitution_with_rational_images(images, s, t):
     assert all(type(c) is int for c in int_product.values())
     fraction_product = convolve(by_degree(s.coeffs), by_degree(t.coeffs), N)
     assert {w: Fraction(c, 36) for w, c in int_product.items()} == fraction_product
+
+
+RATIONALS_720 = st.builds(Fraction, st.integers(-720, 720), st.integers(1, 720))
+
+
+def series_720(min_degree=0):
+    """Series in K<<X1,X2>> through degree 5 with denominators up to 720,
+    the zero series and (from min_degree 0) the pure constants included."""
+    words = st.lists(st.integers(1, 2), min_size=min_degree, max_size=5).map(tuple)
+    coeffs = [st.just({}), st.dictionaries(words, RATIONALS_720, max_size=10)]
+    if min_degree == 0:
+        coeffs.append(RATIONALS_720.map(lambda c: {(): c}))
+    return st.one_of(coeffs).map(lambda c: TensorSeries.from_terms(2, 5, c.items()))
+
+
+EXP = [Fraction(1, factorial(m)) for m in range(6)]
+LOG = [Fraction(0)] + [Fraction((-1) ** (m - 1), m) for m in range(1, 6)]
+INVERSE = [Fraction((-1) ** m) for m in range(6)]
+
+
+@given(series_720(), series_720(), series_720(min_degree=1),
+       series_720(min_degree=3), series_720(min_degree=3))
+@settings(max_examples=60, deadline=None)
+def test_integer_kernel_agrees_with_fraction_oracle(a, b, v, high, other_high):
+    u = one(2, 5) + v
+    cases = [
+        (a * b, product_by_fractions(a, b)),
+        (b * a, product_by_fractions(b, a)),
+        # degrees 3 + 3 lie past the truncation: the product cancels completely
+        (high * other_high, TensorSeries.zero(2, 5)),
+        (v.exp(), power_series_by_fractions(v, EXP)),
+        (u.log(), power_series_by_fractions(u, LOG)),
+        (u.inverse(), power_series_by_fractions(u, INVERSE)),
+        # every term but the constant cancels
+        (u * u.inverse(), one(2, 5)),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        # the JSON prints str(c), so stored coefficients are nonzero Fractions
+        assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values())
 
 
 def test_rendering():
