@@ -24,10 +24,11 @@ A word is multiplied out under a generator map by one loop,
 ``_word_image``: short words under theta itself, and long words through
 their integer Magnus images (``magnus_integer``, and
 ``braid_magnus_images`` for the longitudes of a braid, whose cost does not
-grow with the longitudes' length).  The substitution
-S(X_j) = theta(x_j) - 1 maps such an image to theta(word) by one linear
-combination.  Every product here runs through the shared kernel of
-``tensor``.
+grow with the longitudes' length).  It multiplies each letter into one
+accumulator in place, acc <- acc + acc (f - 1), with no new series per
+letter.  The substitution S(X_j) = theta(x_j) - 1 maps such an image to
+theta(word) by one linear combination.  Every product here runs through
+the shared kernel of ``tensor``.
 """
 
 from __future__ import annotations
@@ -42,28 +43,33 @@ from . import linalg
 from .lie import (LieElement, bracket_map_matrix, conjugator, h_tensor_l_basis,
                   is_grouplike, lyndon_words)
 from .linalg import Q1
-from .tensor import (Substitution, TensorSeries, Wd, by_degree, convolve,
-                     power_series)
+from .tensor import Substitution, TensorSeries, Wd, convolve, decode
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
 
 
-def _word_image(letters, factors: list[dict], trunc: int, inverses: dict) -> dict:
-    """The product over letters (g, e) of factors[g-1] ** e, through degree trunc.
+def _word_image(letters, factors: list[TensorSeries], inverses: dict) -> TensorSeries:
+    """The product over letters (g, e) of factors[g-1] ** e.
 
-    Factors are degree buckets with constant term 1, whose type (int or
-    Fraction) the product keeps.  Each inverse is formed once by
-    ``power_series`` and kept in ``inverses``, which callers may share
-    between words over the same factors.
+    Factors have constant term 1.  A letter's factor (den + V) / den
+    updates the coded numerators in place, acc <- acc + acc (den - 1 + V),
+    source buckets from the highest degree down and the step's constant
+    term last, so each bucket is read before anything is added to it.
+    Each inverse is formed once and kept in ``inverses``, which callers may
+    share between words over the same factors.
     """
-    one = factors[0][0][0][1]  # the constant term: 1 in the coefficient ring
-    acc = {(): one}
+    n, trunc = factors[0].n, factors[0].trunc
+    den, acc = 1, {0: {0: 1}}
     for g, e in letters:
         factor = factors[g - 1] if e == 1 else inverses.get(g)
-        if factor is None:  # 1 / (1 + v) = sum (-v)^m
-            factor = inverses[g] = by_degree(power_series(
-                factors[g - 1], [(-1) ** m * one for m in range(trunc + 1)], trunc))
-        acc = convolve(by_degree(acc), factor, trunc)
-    return acc
+        if factor is None:
+            factor = inverses[g] = factors[g - 1].inverse()
+        factor_den, nums = factor._integral()
+        step = {d: terms for d, terms in nums.items() if d}
+        if factor_den != 1:
+            step[0] = {0: factor_den - 1}
+        convolve({d: acc[d] for d in sorted(acc, reverse=True)}, step, n, trunc, acc)
+        den *= factor_den
+    return TensorSeries._over(n, trunc, den, acc)
 
 
 def magnus_integer(n: int, trunc: int, letters) -> dict[Wd, int]:
@@ -72,8 +78,8 @@ def magnus_integer(n: int, trunc: int, letters) -> dict[Wd, int]:
     The inverse of 1 + X_g is sum_m (-X_g)^m, so everything stays in Python
     ints; this is the fast path for very long longitude words.
     """
-    factors = [{0: [((), 1)], 1: [((g,), 1)]} for g in range(1, n + 1)]
-    return _word_image(letters, factors, trunc, {})
+    factors = [TensorSeries(n, trunc, {(): Q1, (g,): Q1}) for g in range(1, n + 1)]
+    return decode(_word_image(letters, factors, {})._integral()[1], n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,18 +98,16 @@ def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
     exponentially.
     """
     n = braid.n
-    action = [{(): 1, (j,): 1} for j in range(1, n + 1)]
-    longs: list[dict[Wd, int]] = [{(): 1} for _ in range(n)]
+    action = [TensorSeries(n, trunc, {(): Q1, (j,): Q1}) for j in range(1, n + 1)]
+    longs = [TensorSeries.one(n, trunc)] * n
     for i, j, e in braid.letters:
-        factors = [by_degree(a) for a in action]
-        inverses: dict[int, dict] = {}
-        longs = [convolve(by_degree(_word_image(y.letters, factors, trunc, inverses)),
-                          by_degree(old), trunc)
+        inverses: dict[int, TensorSeries] = {}
+        longs = [_word_image(y.letters, action, inverses) * old
                  for y, old in zip(_letter_longitudes(n, i, j, e), longs)]
         gen_words = _generator_images(n, i, j, e)
-        action = [_word_image(gen_words[k].letters, factors, trunc, inverses)
+        action = [_word_image(gen_words[k].letters, action, inverses)
                   if k in gen_words else action[k - 1] for k in range(1, n + 1)]
-    return longs
+    return [decode(y._integral()[1], n) for y in longs]
 
 
 # words at least this long are evaluated through the integer Magnus route
@@ -152,8 +156,7 @@ class Expansion:
         if len(word.letters) >= _DENSE_EVAL_CUTOFF:
             image = magnus_integer(self.n, trunc, word.letters)
             return self.magnus_substitution(trunc).combine(image)
-        factors = [by_degree(img.truncate(trunc).coeffs) for img in self.images]
-        return TensorSeries(self.n, trunc, _word_image(word.letters, factors, trunc, {}))
+        return _word_image(word.letters, [img.truncate(trunc) for img in self.images], {})
 
     def magnus_substitution(self, trunc: int) -> Substitution:
         """S(X_j) = theta(x_j) - 1 at truncation trunc: Magnus image to theta image."""
@@ -362,10 +365,13 @@ def filtration_degree(data: Braid | LongitudeTuple, max_k: int) -> int:
     The images are built at truncations 1, 2, 4, ... capped at max_k, and
     the search stops at the first truncation where some image has a term of
     positive degree: truncation leaves the low-degree coefficients alone, so
-    that lowest degree is already exact.
+    that lowest degree is already exact.  Data trusted modulo the (K+1)-st
+    term shows levels up to K + 1 only, so max_k is capped there.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
+    if isinstance(data, LongitudeTuple) and data.truncation is not None:
+        max_k = min(max_k, data.truncation + 1)
     trunc = 1
     while True:
         trunc = min(trunc, max_k)

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Q1, Combination, add_to
-from .tensor import TensorSeries, Wd
+from .tensor import TensorSeries, Wd, decode
 
 
 # -- Lyndon words ------------------------------------------------------------
@@ -222,7 +222,9 @@ class LieElement(Combination):
         """Lyndon coordinates of a primitive series (exact round trip)."""
         if series.constant_term() != 0:
             raise ValueError("not primitive: nonzero constant term")
-        return cls(series.n, _extract_lyndon(series.coeffs))
+        den, nums = series._integral()
+        return cls(series.n, {w: Fraction(c, den) for w, c in
+                              _extract_lyndon(decode(nums, series.n)).items()})
 
     def bracket(self, other: "LieElement", max_degree: int | None = None) -> "LieElement":
         """[self, other], keeping only degrees <= max_degree when one is given.

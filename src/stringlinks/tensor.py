@@ -7,12 +7,14 @@ series with different (n, trunc) raise instead of silently re-truncating;
 ``truncate`` exists for deliberate reductions.
 
 All series arithmetic of the library runs through one kernel here, on
-integer coefficient dicts grouped by degree: ``convolve`` is the one
-truncated product, ``power_series`` the one loop summing a(m) v^m (behind
-exp, log and inverse), and ``Substitution`` the one table of word images.
-Products, exp, log and inverse run on one integer form of their operands
-(the numerators over the lcm of the denominators, by degree) and form one
-``Fraction`` per output term, not one per term pair.
+integer-coded words: a word of length d is its base-n code (letter g is
+digit g - 1) in the degree bucket {d: {code: coefficient}}, so
+concatenation is code1 * n**d2 + code2 (``encode`` and ``decode`` convert).
+``convolve`` is the one truncated product, ``power_series`` the one loop
+summing a(m) v^m (behind exp, log and inverse), and ``Substitution`` the
+one table of word images.  Their results are held as gcd-reduced integer
+numerators over the lcm of the reduced denominators (``_integral``), and
+their ``Fraction``s are formed only when ``coeffs`` is first read.
 
 The Hopf structure (generators primitive) has no code here, and this
 module knows nothing of Lie structure: ``lie`` decides primitivity and
@@ -22,6 +24,8 @@ group-likeness by Lyndon extraction (Friedrichs' criterion) and holds
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,64 +34,98 @@ from .linalg import Q0, Q1, Combination, add_to
 Wd = tuple[int, ...]
 
 
-def by_degree(coeffs: dict) -> dict[int, list]:
-    """The terms of a coefficient dict grouped by word length."""
-    buckets: dict[int, list] = {}
+@functools.lru_cache(maxsize=None)
+def _words(n: int, d: int) -> tuple[Wd, ...]:
+    """The words of length d over {1..n}, indexed by their code; built on first use."""
+    return tuple(itertools.product(range(1, n + 1), repeat=d))
+
+
+@functools.lru_cache(maxsize=None)
+def _codes(n: int, d: int) -> dict[Wd, int]:
+    return {w: code for code, w in enumerate(_words(n, d))}
+
+
+def encode(coeffs: dict, n: int) -> dict:
+    """Word-keyed coefficients as degree buckets of word codes."""
+    out: dict = {}
     for w, c in coeffs.items():
-        buckets.setdefault(len(w), []).append((w, c))
-    return buckets
+        out.setdefault(len(w), {})[_codes(n, len(w))[w]] = c
+    return out
 
 
-def convolve(left: dict[int, list], right: dict[int, list], trunc: int,
-             out: dict | None = None) -> dict:
+def decode(buckets: dict, n: int) -> dict:
+    """Degree buckets of word codes as word-keyed coefficients."""
+    return {w: c for d, bucket in buckets.items()
+            for w, c in zip(map(_words(n, d).__getitem__, bucket), bucket.values())}
+
+
+def convolve(left: dict, right: dict, n: int, trunc: int, out: dict | None = None) -> dict:
     """The product of two series given as degree buckets, through degree trunc.
 
     Coefficients are ints or Fractions and must be nonzero; pairs whose
     degrees sum past trunc are skipped a bucket pair at a time.  The
     product is added into ``out`` when one is given.  Coefficients that
-    cancel are dropped, so the result again holds no zeros.
+    cancel are dropped, and so are buckets left empty, so the result again
+    holds no zeros.
     """
     out = {} if out is None else out
-    get = out.get
     for d1, terms1 in left.items():
         for d2, terms2 in right.items():
-            if d1 + d2 > trunc:
+            d = d1 + d2
+            if d > trunc:
                 continue
-            for w1, c1 in terms1:
-                for w2, c2 in terms2:
-                    w = w1 + w2
+            bucket = out.setdefault(d, {})
+            get = bucket.get
+            shift = n ** d2
+            for w1, c1 in terms1.items():
+                base = w1 * shift
+                for w2, c2 in terms2.items():
+                    w = base + w2
                     v = get(w)
                     if v is None:
-                        out[w] = c1 * c2
+                        bucket[w] = c1 * c2
                     else:
                         v += c1 * c2
                         if v:
-                            out[w] = v
+                            bucket[w] = v
                         else:
-                            del out[w]
+                            del bucket[w]
+    for d in [d for d, bucket in out.items() if not bucket]:
+        del out[d]
     return out
 
 
-def power_series(buckets: dict[int, list], coefficients: list, trunc: int) -> dict:
-    """sum_m coefficients[m] * v^m through degree trunc.
+def power_series(buckets: dict, coefficients: list, n: int, trunc: int) -> dict:
+    """sum_m coefficients[m] * v^m through degree trunc, as degree buckets.
 
     v is the series given by ``buckets`` without its constant term, and
     ``coefficients`` lists a(0), ..., a(trunc), all nonzero from a(1) on.
     The powers stop early once they vanish.
     """
     right = {d: terms for d, terms in buckets.items() if d}
-    out = {(): coefficients[0]} if coefficients[0] else {}
-    power = {0: [((), 1)]}
+    out = {0: {0: coefficients[0]}} if coefficients[0] else {}
+    power = {0: {0: 1}}
     for m in range(1, trunc + 1):
-        power = by_degree(convolve(power, right, trunc))
+        power = convolve(power, right, n, trunc)
         if not power:
             break
-        convolve(power, {0: [((), coefficients[m])]}, trunc, out)  # a(m) v^m
+        convolve({0: {0: coefficients[m]}}, power, n, trunc, out)  # a(m) v^m
     return out
 
 
+def _reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """nums / den with the common factor of den and every numerator removed."""
+    g = 1 if den == 1 else math.gcd(den, *(v for b in nums.values() for v in b.values()))
+    if g == 1:
+        return den, nums
+    return den // g, {d: {w: v // g for w, v in b.items()} for d, b in nums.items()}
+
+
 class TensorSeries(Combination):
-    __slots__ = ("n", "trunc")
+    """A series, held as Fractions (``coeffs``), integers over a denominator
+    (``_integral``) or both; a missing form is formed when first asked for."""
+
+    __slots__ = ("n", "trunc", "_den", "_nums")
 
     def __init__(self, n: int, trunc: int, coeffs: dict[Wd, Fraction] | None = None):
         if n < 1:
@@ -96,7 +134,24 @@ class TensorSeries(Combination):
             raise ValueError("truncation degree must be >= 1")
         self.n = n
         self.trunc = trunc
+        self._nums = None
         super().__init__(coeffs)
+
+    @classmethod
+    def _over(cls, n: int, trunc: int, den: int, nums: dict) -> "TensorSeries":
+        """The series nums / den, for zero-free integer degree buckets nums."""
+        series = cls.__new__(cls)
+        series.n, series.trunc = n, trunc
+        series._den, series._nums = _reduced(den, nums)
+        return series
+
+    def __getattr__(self, name: str):
+        # reached only while the ``coeffs`` slot is unset: form the Fractions
+        if name != "coeffs":
+            raise AttributeError(name)
+        den = self._den
+        self.coeffs = {w: Fraction(v, den) for w, v in decode(self._nums, self.n).items()}
+        return self.coeffs
 
     def _space(self) -> tuple[int, int]:
         return self.n, self.trunc
@@ -137,7 +192,8 @@ class TensorSeries(Combination):
     # -- basic structure ---------------------------------------------------
 
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((), Q0)
+        den, nums = self._integral()
+        return Fraction(nums[0][0], den) if 0 in nums else Q0
 
     def truncate(self, trunc: int) -> "TensorSeries":
         """Deliberate re-truncation to a lower (or equal) degree."""
@@ -145,26 +201,28 @@ class TensorSeries(Combination):
             raise ValueError("cannot truncate upwards")
         if trunc == self.trunc:
             return self  # series are immutable
-        return TensorSeries(self.n, trunc,
-                            {w: c for w, c in self.coeffs.items() if len(w) <= trunc})
+        den, nums = self._integral()
+        return TensorSeries._over(self.n, trunc, den,
+                                  {d: terms for d, terms in nums.items() if d <= trunc})
 
     # -- arithmetic --------------------------------------------------------
 
-    def _integral(self) -> tuple[int, dict[int, list[tuple[Wd, int]]]]:
-        """(den, buckets): the numerators over den, the lcm of the denominators,
-        grouped by degree.  Not cached: holding it costs memory and saves no time."""
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        return den, by_degree(
-            {w: c.numerator * (den // c.denominator) for w, c in self.coeffs.items()})
-
-    def _over(self, nums: dict[Wd, int], den: int) -> "TensorSeries":
-        return TensorSeries(self.n, self.trunc,
-                            {w: Fraction(v, den) for w, v in nums.items()})
+    def _integral(self) -> tuple[int, dict]:
+        """(den, nums): integer numerators over den, the lcm of the denominators,
+        in degree buckets of word codes.  Kept once formed: kernel results are
+        born in this form, and a series built from Fractions forms it once."""
+        if self._nums is None:
+            den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+            self._den, self._nums = den, encode(
+                {w: c.numerator * (den // c.denominator) for w, c in self.coeffs.items()},
+                self.n)
+        return self._den, self._nums
 
     def __mul__(self, other: "TensorSeries") -> "TensorSeries":
         self._check(other)
         (d1, left), (d2, right) = self._integral(), other._integral()
-        return self._over(convolve(left, right, self.trunc), d1 * d2)
+        return TensorSeries._over(self.n, self.trunc, d1 * d2,
+                                  convolve(left, right, self.n, self.trunc))
 
     def _power_series(self, coefficients: list[Fraction]) -> "TensorSeries":
         # with v = B / den, a(m) v^m = b(m) B^m / L for the integers
@@ -173,7 +231,8 @@ class TensorSeries(Combination):
         scales = [a.denominator * den ** m for m, a in enumerate(coefficients)]
         lcm = math.lcm(*scales)
         b = [a.numerator * (lcm // q) for a, q in zip(coefficients, scales)]
-        return self._over(power_series(buckets, b, self.trunc), lcm)
+        return TensorSeries._over(self.n, self.trunc, lcm,
+                                  power_series(buckets, b, self.n, self.trunc))
 
     def inverse(self) -> "TensorSeries":
         """Multiplicative inverse; requires constant term 1."""
@@ -216,13 +275,13 @@ class TensorSeries(Combination):
 class Substitution:
     """The algebra endomorphism X_i |-> images[i-1], reusable across calls.
 
-    The image of each word is kept in a memoised prefix table as integer
-    numerators over one gcd-reduced denominator, and a new prefix costs
-    one ``convolve`` with a generator image; the table persists for the
-    lifetime of the object.  Applying the substitution to coefficients
-    c_w is then one integer linear combination over the common
-    denominator, for rational series (``__call__``) and integer Magnus
-    images (``combine``) alike.
+    The image of each word is kept in a memoised prefix table, one dict per
+    degree keyed by word code, as integer degree buckets over one
+    gcd-reduced denominator; a new prefix costs one ``convolve`` with a
+    generator image, and the table persists for the lifetime of the
+    object.  Applying the substitution to coefficients c_w is then one
+    integer linear combination over the common denominator, for rational
+    series (``__call__``) and integer Magnus images (``combine``) alike.
     """
 
     def __init__(self, images: list[TensorSeries]):
@@ -236,40 +295,31 @@ class Substitution:
         self.n = n
         self.trunc = trunc
         self._generators = [img._integral() for img in images]
-        self._table: dict[Wd, tuple[int, dict[Wd, int]]] = {(): (1, {(): 1})}
+        self._table = [{0: (1, {0: {0: 1}})}] + [{} for _ in range(trunc)]
 
-    def _entry(self, word: Wd) -> tuple[int, dict[Wd, int]]:
-        """(den, nums) with the product of the images along word = nums / den."""
-        cached = self._table.get(word)
+    def _entry(self, d: int, code: int) -> tuple[int, dict]:
+        """(den, nums) with the product of the images along the word = nums / den."""
+        cached = self._table[d].get(code)
         if cached is None:
-            den, nums = self._entry(word[:-1])
-            gen_den, gen_terms = self._generators[word[-1] - 1]
-            nums = convolve(by_degree(nums), gen_terms, self.trunc)
-            den *= gen_den
-            g = math.gcd(den, *nums.values())
-            if g > 1:
-                den //= g
-                nums = {w: c // g for w, c in nums.items()}
-            cached = self._table[word] = (den, nums)
+            prefix, last = divmod(code, self.n)
+            den, nums = self._entry(d - 1, prefix)
+            gen_den, gen_terms = self._generators[last]
+            cached = self._table[d][code] = _reduced(
+                den * gen_den, convolve(nums, gen_terms, self.n, self.trunc))
         return cached
 
     def __call__(self, series: TensorSeries) -> TensorSeries:
         if series.n != self.n or series.trunc != self.trunc:
             raise ValueError("series lives in the wrong tensor algebra")
-        return self.combine(series.coeffs)
+        den, nums = series._integral()
+        terms = [(c, self._entry(d, code))
+                 for d, bucket in nums.items() for code, c in bucket.items()]
+        lcm = math.lcm(*(entry_den for _, (entry_den, _) in terms))
+        acc: dict = {}
+        for c, (entry_den, image) in terms:
+            convolve({0: {0: c * (lcm // entry_den)}}, image, self.n, self.trunc, acc)
+        return TensorSeries._over(self.n, self.trunc, den * lcm, acc)
 
     def combine(self, coeffs: dict) -> TensorSeries:
         """sum_w coeffs[w] * (image of w), for int or Fraction coefficients."""
-        terms = [(c, self._entry(w)) for w, c in coeffs.items()]
-        lcm = math.lcm(*(c.denominator * den for c, (den, _) in terms))
-        acc: dict[Wd, int] = {}
-        for c, (den, nums) in terms:
-            f = c.numerator * (lcm // (c.denominator * den))
-            for w, num in nums.items():
-                v = acc.get(w, 0) + f * num
-                if v:
-                    acc[w] = v
-                else:
-                    del acc[w]
-        return TensorSeries(self.n, self.trunc,
-                            {w: Fraction(v, lcm) for w, v in acc.items()})
+        return self(TensorSeries(self.n, self.trunc, coeffs))

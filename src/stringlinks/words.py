@@ -216,6 +216,8 @@ class LongitudeTuple:
     truncation: int | None = None
 
     def __post_init__(self):
+        if self.truncation is not None and self.truncation < 1:
+            raise ValueError("truncation level must be >= 1")
         if len(self.words) != self.n:
             raise ValueError("need exactly one longitude per strand")
         for i, y in enumerate(self.words, start=1):

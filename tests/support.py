@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: cached expansions, braid corpora and
 reference oracles.  The oracles share no code with the library's own
-decisions, except the Fraction series oracles, which run the kernel's own
-loops and so check the integer scaling around them."""
+decisions; the series oracles run a word-keyed Fraction kernel of their
+own, with no word codes, integer numerators or in-place products."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import functools
 import random
 
 from stringlinks import Braid, build_special, filtration_degree
-from stringlinks.tensor import Q0, TensorSeries, by_degree, convolve, power_series
+from stringlinks.tensor import Q0, TensorSeries
 from stringlinks.words import braid_commutator
 
 
@@ -122,24 +122,61 @@ def is_grouplike_by_coproduct(series):
     return all(len(left) + len(right) > series.trunc for left, right in cop)
 
 
-def product_by_fractions(a, b):
-    """a * b by the kernel's convolution run on Fraction coefficients.
+def by_degree(coeffs):
+    """The terms of a word-keyed coefficient dict grouped by word length."""
+    buckets = {}
+    for w, c in coeffs.items():
+        buckets.setdefault(len(w), []).append((w, c))
+    return buckets
 
-    ``TensorSeries`` multiplies integer numerators over a common
-    denominator; this oracle skips that scaling and multiplies and adds one
-    ``Fraction`` per term pair.
-    """
+
+def convolve_words(left, right, trunc, out=None):
+    """The truncated product of two series given as ``by_degree`` buckets,
+    with words as tuples concatenated per term pair: a reference for the
+    library's ``tensor.convolve`` on word codes."""
+    out = {} if out is None else out
+    for d1, terms1 in left.items():
+        for d2, terms2 in right.items():
+            if d1 + d2 > trunc:
+                continue
+            for w1, c1 in terms1:
+                for w2, c2 in terms2:
+                    w = w1 + w2
+                    v = out.get(w, 0) + c1 * c2
+                    if v:
+                        out[w] = v
+                    else:
+                        del out[w]
+    return out
+
+
+def power_series_words(coeffs, coefficients, trunc):
+    """sum_m coefficients[m] * v^m through degree trunc, v the word-keyed
+    series ``coeffs`` without its constant term, by ``convolve_words``."""
+    right = {d: terms for d, terms in by_degree(coeffs).items() if d}
+    out = {(): coefficients[0]} if coefficients[0] else {}
+    power = {0: [((), 1)]}
+    for m in range(1, trunc + 1):
+        power = by_degree(convolve_words(power, right, trunc))
+        if not power:
+            break
+        convolve_words(power, {0: [((), coefficients[m])]}, trunc, out)
+    return out
+
+
+def product_by_fractions(a, b):
+    """a * b by the reference kernel, one ``Fraction`` per term pair."""
     a._check(b)
-    return TensorSeries(a.n, a.trunc, convolve(by_degree(a.coeffs), by_degree(b.coeffs),
-                                               a.trunc))
+    return TensorSeries(a.n, a.trunc, convolve_words(by_degree(a.coeffs),
+                                                     by_degree(b.coeffs), a.trunc))
 
 
 def power_series_by_fractions(series, coefficients):
     """sum_m coefficients[m] * v^m, v the series without its constant term,
-    by the kernel's ``power_series`` run on Fraction coefficients: an oracle
-    for ``exp``, ``log`` and ``inverse``, which scale both to integers."""
-    return TensorSeries(series.n, series.trunc, power_series(
-        by_degree(series.coeffs), coefficients, series.trunc))
+    by the reference kernel on Fraction coefficients: an oracle for ``exp``,
+    ``log`` and ``inverse``."""
+    return TensorSeries(series.n, series.trunc,
+                        power_series_words(series.coeffs, coefficients, series.trunc))
 
 
 def rref_reference(rows):

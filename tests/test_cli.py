@@ -227,6 +227,24 @@ def test_level_command(capsys):
     assert out.strip() == "2"
 
 
+def test_level_capped_by_trust_level(capsys, tmp_path):
+    # longitudes trusted modulo the second lower central term decide level 2
+    # at most: the Magnus images alone would read 3 here, which
+    # milnor --mode degree --k 3 refuses on the same file
+    path = tmp_path / "longitudes.json"
+    y1 = [[2, 1], [2, 1], [3, 1], [2, -1], [3, -1], [2, -1], [2, 1], [3, -1], [2, -1], [3, 1]]
+    path.write_text(json.dumps({"n": 3, "truncation": 1, "words": [y1, [], []]}))
+    code, out, _ = run(capsys, "level", "--n", "3", "--longitude-file", str(path))
+    assert (code, out.strip()) == (EXIT_OK, "2")
+    code, _, _ = run(capsys, "milnor", "--mode", "degree", "--k", "3", "--n", "3",
+                     "--longitude-file", str(path))
+    assert code == EXIT_PRECONDITION
+    # braid data carries no trust level, so its level is not capped
+    code, out, _ = run(capsys, "level", "--n", "3",
+                       "--braid", "[A(1,2), [A(1,3), A(2,3)]]")
+    assert (code, out.strip()) == (EXIT_OK, "3")
+
+
 def test_longitudes_command(capsys):
     code, out, _ = run(capsys, "longitudes", "--braid", "A(1,2)", "--n", "2")
     assert code == EXIT_OK

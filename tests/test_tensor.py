@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stringlinks.expansions import _word_image
 from stringlinks.lie import bch, is_grouplike, is_primitive
-from stringlinks.tensor import Substitution, TensorSeries, by_degree, convolve
+from stringlinks.tensor import Substitution, TensorSeries, convolve, decode, encode
 
 from support import (is_grouplike_by_coproduct, is_primitive_by_coproduct,
                      power_series_by_fractions, product_by_fractions, seeded)
@@ -183,9 +184,10 @@ def test_substitution_with_rational_images(images, s, t):
     assert Substitution(images)(s) == expected
     # the shared convolution agrees on int numerators and on Fractions
     ints = [{w: int(6 * c) for w, c in x.coeffs.items()} for x in (s, t)]
-    int_product = convolve(by_degree(ints[0]), by_degree(ints[1]), N)
+    int_product = decode(convolve(encode(ints[0], n), encode(ints[1], n), n, N), n)
     assert all(type(c) is int for c in int_product.values())
-    fraction_product = convolve(by_degree(s.coeffs), by_degree(t.coeffs), N)
+    fraction_product = decode(
+        convolve(encode(s.coeffs, n), encode(t.coeffs, n), n, N), n)
     assert {w: Fraction(c, 36) for w, c in int_product.items()} == fraction_product
 
 
@@ -227,6 +229,114 @@ def test_integer_kernel_agrees_with_fraction_oracle(a, b, v, high, other_high):
         assert got == expected
         # the JSON prints str(c), so stored coefficients are nonzero Fractions
         assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values())
+
+
+# -- the integer-coded kernel against the word-keyed reference kernel ---------
+
+@st.composite
+def algebras(draw):
+    """(n, trunc) with n = 1..4, the truncation kept small for larger n."""
+    n = draw(st.integers(1, 4))
+    return n, draw(st.integers(1, 5 if n <= 2 else 4))
+
+
+def series_in(n, N, min_degree=0):
+    words = st.lists(st.integers(1, n), min_size=min(min_degree, N), max_size=N).map(tuple)
+    return st.dictionaries(words, RATIONALS_720, max_size=8).map(
+        lambda coeffs: TensorSeries.from_terms(n, N, coeffs.items()))
+
+
+def coefficients(name, N):
+    """a(0..N) of exp, log or the geometric series behind inverse."""
+    if name == "exp":
+        return [Fraction(1, factorial(m)) for m in range(N + 1)]
+    if name == "log":
+        return [Fraction(0)] + [Fraction((-1) ** (m - 1), m) for m in range(1, N + 1)]
+    return [Fraction((-1) ** m) for m in range(N + 1)]
+
+
+def inverse_by_fractions(u):
+    return power_series_by_fractions(u, coefficients("inverse", u.trunc))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_products_match_word_oracle(data):
+    n, N = data.draw(algebras())
+    a, b = data.draw(series_in(n, N)), data.draw(series_in(n, N))
+    assert a * b == product_by_fractions(a, b)
+    assert (a * b) * a == product_by_fractions(product_by_fractions(a, b), a)
+    # every term pair of high * high lies past the truncation
+    high = data.draw(series_in(n, N, min_degree=N // 2 + 1))
+    assert (high * high)._integral() == (1, {}) and (high * high).is_zero()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_power_series_match_word_oracle(data):
+    n, N = data.draw(algebras())
+    v = data.draw(series_in(n, N, min_degree=1))
+    u = one(n, N) + v
+    assert v.exp() == power_series_by_fractions(v, coefficients("exp", N))
+    assert u.log() == power_series_by_fractions(u, coefficients("log", N))
+    assert u.inverse() == inverse_by_fractions(u)
+    # every term but the constant cancels inside the kernel
+    assert (u * u.inverse())._integral() == (1, {0: {0: 1}})
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_substitution_matches_word_oracle(data):
+    n, N = data.draw(algebras())
+    images = [data.draw(series_in(n, N, min_degree=1)) for _ in range(n)]
+    s = data.draw(series_in(n, N))
+    expected = TensorSeries.zero(n, N)
+    for w, c in s.coeffs.items():
+        term = one(n, N)
+        for g in w:
+            term = product_by_fractions(term, images[g - 1])
+        expected = expected + term.scale(c)
+    sub = Substitution(images)
+    assert sub(s) == expected
+    assert sub.combine(s.coeffs) == expected
+    # X_1 - X_n cancels to zero when both generators have one image
+    same = Substitution([images[0]] * n)
+    assert same(gen(n, N, 1) - gen(n, N, n))._integral() == (1, {})
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_word_image_with_inverse_letters_matches_word_oracle(data):
+    n, N = data.draw(algebras())
+    factors = [one(n, N) + data.draw(series_in(n, N, min_degree=1)) for _ in range(n)]
+    letters = data.draw(st.lists(st.tuples(st.integers(1, n), st.sampled_from((1, -1))),
+                                 max_size=6))
+    expected = one(n, N)
+    for g, e in letters:
+        factor = factors[g - 1] if e == 1 else inverse_by_fractions(factors[g - 1])
+        expected = product_by_fractions(expected, factor)
+    inverses = {}
+    assert _word_image(letters, factors, inverses) == expected
+    # a letter and its inverse cancel, through the inverses kept above
+    g = data.draw(st.integers(1, n))
+    assert _word_image([(g, 1), (g, -1)], factors, inverses) == one(n, N)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_form_reads_like_fraction_form(data):
+    n, N = data.draw(algebras())
+    a, b = data.draw(series_in(n, N)), data.draw(series_in(n, N))
+    born = a * b  # integer form only: nothing has read its Fractions yet
+    built = TensorSeries(n, N, dict(product_by_fractions(a, b).coeffs))
+    # the reduced integer form is canonical: den is the lcm of the denominators
+    assert born._integral() == built._integral()
+    assert born.constant_term() == built.constant_term()
+    for k in range(1, N + 1):
+        assert born.truncate(k) == built.truncate(k)
+    assert born == built and hash(born) == hash(built)
+    assert born.coeffs == built.coeffs
+    assert all(type(c) is Fraction and c != 0 for c in born.coeffs.values())
 
 
 def test_rendering():

@@ -183,3 +183,12 @@ def test_longitude_tuple_validation():
         LongitudeTuple(2, (Word.gen(2, 1), Word.identity(2)))  # y_1 not normalised
     lt = LongitudeTuple(2, (Word.gen(2, 2), Word.gen(2, 1)))
     assert len(lt.boundary_defect()) > 0  # not an actual action; defect visible
+
+
+@pytest.mark.parametrize("truncation", [0, -3])
+def test_longitude_tuple_truncation_below_one_raises(truncation):
+    # a trust level below 1 trusts no degree; the CLI refuses such files too
+    words = (Word.gen(2, 2), Word.gen(2, 1))
+    with pytest.raises(ValueError, match="truncation"):
+        LongitudeTuple(2, words, truncation)
+    assert LongitudeTuple(2, words, 1).truncation == 1
