@@ -4,8 +4,8 @@ realisations of their refinements."""
 
 __version__ = "0.1.0"
 
-from .words import (Braid, LongitudeTuple, Word, artin_action, braid_commutator,
-                    commutator, longitudes, pure_braid_relations)
+from .words import (Braid, LongitudeTuple, ScaleError, Word, artin_action,
+                    braid_commutator, commutator, longitudes, pure_braid_relations)
 from .tensor import Substitution, TensorSeries
 from .lie import (HTensorLie, LieElement, bch, bracket_map_matrix, conjugating_element,
                   conjugator, d_dimension, lyndon_words, witt_dim)
@@ -14,9 +14,8 @@ from .expansions import (Expansion, SpecialityReport, build_special, exp_expansi
                          magnus_expansion)
 from .milnor import (FiltrationError, SpecialAutData, milnor_degree, special_artin,
                      total_milnor, truncated_milnor)
-from .trees import (ScaleError, TreeCombination, TreeDiagram, enumerate_trees,
-                    eta, eta_combination, eta_inverse, fission,
-                    fission_combination)
+from .trees import (TreeCombination, TreeDiagram, enumerate_trees, eta,
+                    eta_combination, eta_inverse, fission, fission_combination)
 from .koszul import (ExteriorChain, HomologyBasis, HomologyClass, NilpotentBasis,
                      NotACycleError, boundary, exterior_basis, homology,
                      nilpotent_basis, phi_class)

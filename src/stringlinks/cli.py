@@ -23,8 +23,12 @@ below 2, brackets nested too deeply, a JSON input file of the wrong shape
 or encoding, and an input path that cannot be read), 3 violated
 mathematical precondition (filtration, speciality, scale, a longitude
 file whose strand count differs from ``--n``), 4 internal invariant
-failure.  All randomness is seed-controlled and echoed in the
-output, and output is byte-deterministic given the configuration.
+failure.  Scale includes a braid word of more than ``words.MAX_LETTERS``
+(3 * 10**6) letters once its powers and commutators are expanded, refused
+before the word is built, and longitude words that grow past that many
+letters in total while ``longitudes`` computes them.  All randomness is
+seed-controlled and echoed in the output, and output is
+byte-deterministic given the configuration.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ from .milnor import (FiltrationError, milnor_degree, special_artin,
                      total_milnor, truncated_milnor)
 from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
                      required_truncation, sigma)
-from .trees import ScaleError, eta_inverse
-from .words import Braid, LongitudeTuple, Word, longitudes
+from .trees import eta_inverse
+from .words import (MAX_LETTERS, Braid, LongitudeTuple, ScaleError, Word,
+                    longitudes)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -92,10 +97,19 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_braid(text: str, n: int) -> Braid:
-    """Parse the braid grammar; empty input is the identity braid."""
+    """Parse the braid grammar; empty input is the identity braid.
+
+    Raises ScaleError before building any word of more than MAX_LETTERS
+    letters once powers and commutators are expanded.
+    """
     tokens = _tokenize(text)
     Braid.identity(n)  # refuses n < 2 before any atom is read
     pos = 0
+
+    def check(letters: int) -> None:
+        if letters > MAX_LETTERS:
+            raise ScaleError(f"braid word has more than {MAX_LETTERS} letters "
+                             "once powers and commutators are expanded")
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -126,8 +140,11 @@ def parse_braid(text: str, n: int) -> Braid:
             if peek() != "]":
                 raise BraidSyntaxError("unclosed commutator bracket")
             pos += 1
+            check(2 * (len(left) + len(right)))
             base = left * right * left.inverse() * right.inverse()
-            return base ** parse_power()
+            power = parse_power()
+            check(len(base) * abs(power))
+            return base ** power
         if tok.startswith("A("):
             pos += 1
             try:
@@ -137,9 +154,11 @@ def parse_braid(text: str, n: int) -> Braid:
                 raise BraidSyntaxError(f"bad generator token {tok!r}")
             power = parse_power()
             try:
-                return Braid.gen(n, i, j, power)
+                letter = Braid.gen(n, i, j)
             except ValueError as exc:
                 raise BraidSyntaxError(str(exc))
+            check(abs(power))
+            return letter ** power
         raise BraidSyntaxError(f"unexpected token {tok!r}")
 
     def parse_word(stop=frozenset()) -> Braid:
@@ -148,7 +167,9 @@ def parse_braid(text: str, n: int) -> Braid:
             tok = peek()
             if tok is None or tok in stop:
                 return Braid(n, tuple(letters))
-            letters.extend(parse_atom().letters)
+            atom = parse_atom().letters
+            check(len(letters) + len(atom))
+            letters.extend(atom)
 
     try:
         word = parse_word()
@@ -372,13 +393,14 @@ def cmd_trees(args) -> int:
 def cmd_homology(args) -> int:
     basis = homology(3, args.n, args.k - 1)
     table = basis.degree_table()
+    fingerprint = basis.fingerprint()
     doc = {"command": "homology", "n": args.n, "k": args.k,
            "quotientClass": args.k - 1,
-           "fingerprint": basis.fingerprint(),
+           "fingerprint": fingerprint,
            "dimension": basis.dimension,
            "byInternalDegree": {str(d): row for d, row in table.items()}}
     lines = [f"H_3 of the class-{args.k - 1} quotient, n={args.n}: "
-             f"dim = {basis.dimension}   [{basis.fingerprint()}]"]
+             f"dim = {basis.dimension}   [{fingerprint}]"]
     for d, row in table.items():
         lines.append(f"  degree {d}: chains {row['chains']}, cycles {row['cycles']},"
                      f" boundaries {row['boundaries']}, H {row['homology']}")

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -217,7 +216,6 @@ def is_grouplike_expansion(theta: Expansion) -> bool:
     return all(is_grouplike(img) for img in theta.images)
 
 
-@dataclass
 class SpecialityReport:
     """Outcome of the speciality verification of an expansion.
 
@@ -226,13 +224,19 @@ class SpecialityReport:
     component; they are only present when the tangential check passed.
     """
 
-    is_special: bool
-    grouplike: bool
-    tangential: bool
-    normalized: bool
-    witnesses: tuple[TensorSeries, ...] | None
-    failure: str | None = None
-    failure_degree: int | None = None
+    __slots__ = ("is_special", "grouplike", "tangential", "normalized",
+                 "witnesses", "failure", "failure_degree")
+
+    def __init__(self, is_special: bool, grouplike: bool, tangential: bool,
+                 normalized: bool, witnesses: tuple[TensorSeries, ...] | None,
+                 failure: str | None = None, failure_degree: int | None = None):
+        self.is_special = is_special
+        self.grouplike = grouplike
+        self.tangential = tangential
+        self.normalized = normalized
+        self.witnesses = witnesses
+        self.failure = failure
+        self.failure_degree = failure_degree
 
 
 def is_special(theta: Expansion) -> SpecialityReport:

@@ -20,8 +20,6 @@ representatives, graded by their internal degrees.
 from __future__ import annotations
 
 import functools
-import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -221,7 +219,6 @@ class NotACycleError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class HomologyBlock:
     """The homology data of one internal degree.
 
@@ -229,10 +226,15 @@ class HomologyBlock:
     list over it; ``cycles`` is the dimension of the cycle space.
     """
 
-    tuples: tuple[IndexTuple, ...]
-    image_basis: list[list[Fraction]]
-    reps: list[list[Fraction]]
-    cycles: int
+    __slots__ = ("tuples", "image_basis", "reps", "cycles")
+
+    def __init__(self, tuples: tuple[IndexTuple, ...],
+                 image_basis: list[list[Fraction]], reps: list[list[Fraction]],
+                 cycles: int):
+        self.tuples = tuples
+        self.image_basis = image_basis
+        self.reps = reps
+        self.cycles = cycles
 
 
 class HomologyBasis:
@@ -325,6 +327,7 @@ class HomologyBasis:
         blocks = ", ".join(f"({d}, [{', '.join(map(text, blk.reps))}])"
                            for d, blk in sorted(self.blocks.items()))
         payload = f"({self.p}, {self.n}, {self.degree_cap}, [{blocks}])"
+        import hashlib  # here: only this method needs it, and it slows start-up
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -33,8 +33,6 @@ Two computations of the action are implemented:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expansions import (Expansion, is_special, longitude_magnus_images,
                          magnus_expansion)
 from .lie import HTensorLie, LieElement
@@ -53,7 +51,6 @@ class FiltrationError(ValueError):
             f"invariant already nonzero in degree {first_degree}")
 
 
-@dataclass(frozen=True)
 class SpecialAutData:
     """A special automorphism X_i |-> exp(Y_i) X_i exp(-Y_i), fixing sum X_i.
 
@@ -62,11 +59,12 @@ class SpecialAutData:
     truncation max_degree + 1, the exactness horizon of the data.
     """
 
-    n: int
-    max_degree: int
-    entries: tuple[LieElement, ...]
+    __slots__ = ("n", "max_degree", "entries")
 
-    def __post_init__(self):
+    def __init__(self, n: int, max_degree: int, entries: tuple[LieElement, ...]):
+        self.n = n
+        self.max_degree = max_degree
+        self.entries = entries
         if len(self.entries) != self.n:
             raise ValueError("need one conjugating datum per generator")
         for i, y in enumerate(self.entries, start=1):

@@ -22,8 +22,6 @@ one degree of headroom).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .expansions import Expansion
 from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
@@ -41,15 +39,15 @@ def required_truncation(k: int) -> int:
     return 2 * k + 2
 
 
-@dataclass(frozen=True)
 class MoritaInput:
     """A filtration-(k+1) input together with the expansion to use."""
 
-    data: "Braid | LongitudeTuple"
-    theta: Expansion
-    k: int
+    __slots__ = ("data", "theta", "k")
 
-    def __post_init__(self):
+    def __init__(self, data: "Braid | LongitudeTuple", theta: Expansion, k: int):
+        self.data = data
+        self.theta = theta
+        self.k = k
         if self.k < 1:
             raise ValueError("filtration parameter k must be >= 1")
         if self.theta.trunc < required_truncation(self.k):

@@ -33,20 +33,16 @@ acceptance suite checks for every enumerated tree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .koszul import ExteriorChain, NilpotentBasis
 from .lie import HTensorLie, LieElement
 from .linalg import Combination, add_to
+from .words import ScaleError, Value
 
 MAX_COLORS = 4
 MAX_DEGREE = 5
-
-
-class ScaleError(ValueError):
-    """Enumeration request beyond the supported desk scale."""
 
 
 def _check_expr(n: int, expr) -> int:
@@ -102,20 +98,19 @@ def _presentations(root: int, expr):
     return out
 
 
-@dataclass(frozen=True)
-class TreeDiagram:
+class TreeDiagram(Value):
     """Canonical representative of a nonzero tree diagram modulo AS."""
 
-    n: int
-    root: int
-    expr: "int | tuple"
-    _token: object = field(repr=False, compare=False, default=None)
+    __slots__ = ("n", "root", "expr")
 
     _GUARD = object()
 
-    def __post_init__(self):
-        if self._token is not TreeDiagram._GUARD:
+    def __init__(self, n: int, root: int, expr: "int | tuple", _token=None):
+        if _token is not TreeDiagram._GUARD:
             raise ValueError("construct diagrams via TreeDiagram.build")
+        self.n = n
+        self.root = root
+        self.expr = expr
 
     @classmethod
     def build(cls, n: int, root: int, expr) -> tuple["TreeDiagram | None", int]:

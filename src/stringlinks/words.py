@@ -31,30 +31,61 @@ Conventions, fixed once and used consistently everywhere:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 Letter = tuple[int, int]          # (generator index, +-1)
 BraidLetter = tuple[int, int, int]  # (i, j, +-1) with i < j
 
+# most letters a braid word, or the words of an Artin action in progress,
+# may hold before the work is refused; level-3 braids of 20 letters have
+# longitudes of 2 * 10**6 letters
+MAX_LETTERS = 3 * 10**6
+
+
+class ScaleError(ValueError):
+    """Work beyond the supported desk scale, refused before it is done."""
+
+
+class Value:
+    """An immutable value compared and hashed by its slots.
+
+    Instances of different classes never compare equal.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
 
 def _reduce(letters) -> tuple[Letter, ...]:
     out: list[Letter] = []
-    for g, e in letters:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    top = None  # out[-1] in a local: this loop is most of the Artin action
+    for letter in letters:
+        if top is not None and top[0] == letter[0] and top[1] == -letter[1]:
             out.pop()
+            top = out[-1] if out else None
         else:
-            out.append((g, e))
+            top = tuple(letter)
+            out.append(top)
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """A freely reduced word in the free group on ``x_1 .. x_n``."""
 
-    n: int
-    letters: tuple[Letter, ...]
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
+    def __init__(self, n: int, letters: tuple[Letter, ...]):
+        self.n = n
+        self.letters = letters
         if self.n < 2:
             raise ValueError("free group rank must be at least 2")
         for g, e in self.letters:
@@ -113,14 +144,14 @@ def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
 
 
-@dataclass(frozen=True)
-class Braid:
+class Braid(Value):
     """A word in the band generators ``A_ij`` of the pure braid group."""
 
-    n: int
-    letters: tuple[BraidLetter, ...]
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
+    def __init__(self, n: int, letters: tuple[BraidLetter, ...]):
+        self.n = n
+        self.letters = letters
         if self.n < 2:
             raise ValueError("braid group needs at least 2 strands")
         for i, j, e in self.letters:
@@ -183,26 +214,29 @@ def _generator_images(n: int, i: int, j: int, e: int) -> dict[int, Word]:
     return img
 
 
-def artin_action(braid: Braid, word: Word) -> Word:
-    """Image of ``word`` under the Artin automorphism of ``braid``."""
+def artin_action(braid: Braid, word: Word, limit: int = MAX_LETTERS) -> Word:
+    """Image of ``word`` under the Artin automorphism of ``braid``.
+
+    Raises ScaleError as soon as the word in progress holds more than
+    ``limit`` letters: images grow exponentially with commutator depth.
+    """
     if braid.n != word.n:
         raise ValueError("strand count and free group rank differ")
-    current = word
+    letters = word.letters
     for i, j, e in reversed(braid.letters):
-        img = _generator_images(braid.n, i, j, e)
-        pieces = []
-        for g, ex in current.letters:
-            piece = img.get(g)
-            if piece is None:
-                pieces.append(((g, ex),))
-            else:
-                pieces.append(piece.letters if ex == 1 else piece.inverse().letters)
-        current = Word.of(braid.n, itertools.chain.from_iterable(pieces))
-    return current
+        images = {}
+        for g, piece in _generator_images(braid.n, i, j, e).items():
+            images[(g, 1)] = piece.letters
+            images[(g, -1)] = piece.inverse().letters
+        letters = _reduce(itertools.chain.from_iterable(
+            images.get(letter, (letter,)) for letter in letters))
+        if len(letters) > limit:
+            raise ScaleError(f"the Artin action of the braid builds a word of "
+                             f"more than {limit} letters")
+    return Word(braid.n, letters)
 
 
-@dataclass(frozen=True)
-class LongitudeTuple:
+class LongitudeTuple(Value):
     """The longitude words ``(y_1, ..., y_n)`` determining an Artin-type action.
 
     ``truncation`` is None for braid-derived tuples (the boundary condition
@@ -211,11 +245,13 @@ class LongitudeTuple:
     lower central series term of index K+1.
     """
 
-    n: int
-    words: tuple[Word, ...]
-    truncation: int | None = None
+    __slots__ = ("n", "words", "truncation")
 
-    def __post_init__(self):
+    def __init__(self, n: int, words: tuple[Word, ...],
+                 truncation: int | None = None):
+        self.n = n
+        self.words = words
+        self.truncation = truncation
         if self.truncation is not None and self.truncation < 1:
             raise ValueError("truncation level must be >= 1")
         if len(self.words) != self.n:
@@ -248,12 +284,15 @@ def longitudes(braid: Braid) -> LongitudeTuple:
     The image of each generator under the Artin action is a conjugate of
     that generator; the conjugator is peeled off the reduced word and then
     normalised by a power of x_i.  Failure to peel signals a bug, not bad
-    input, since every valid braid word acts by such conjugations.
+    input, since every valid braid word acts by such conjugations.  Raises
+    ScaleError once the words in progress hold more than MAX_LETTERS
+    letters in total.
     """
     n = braid.n
     ys = []
     for i in range(1, n + 1):
-        letters = artin_action(braid, Word.gen(n, i)).letters
+        budget = MAX_LETTERS - sum(len(y.letters) for y in ys)
+        letters = artin_action(braid, Word.gen(n, i), budget).letters
         lo, hi = 0, len(letters) - 1
         while lo < hi:
             g, e = letters[lo]

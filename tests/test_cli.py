@@ -7,7 +7,7 @@ import pytest
 from stringlinks import cli
 from stringlinks.cli import (BraidSyntaxError, EXIT_OK, EXIT_PARSE,
                              EXIT_PRECONDITION, main, parse_braid)
-from stringlinks.words import Braid, braid_commutator
+from stringlinks.words import MAX_LETTERS, Braid, ScaleError, braid_commutator
 
 
 def run(capsys, *argv):
@@ -92,6 +92,39 @@ def test_powers_parse_in_one_pass():
     assert braid == parse_braid("A(1,2) A(2,3)^-1", 3) ** 10000
     assert parse_braid("[A(1,2) , A(1,3)]^-3", 3) == (
         parse_braid("[A(1,3) , A(1,2)]", 3) ** 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["longitudes", "--n", "2", "--braid", "A(1,2)^100000000"],
+    ["milnor", "--n", "3", "--braid", "A(1,2)^99999999999999999999999"],
+    ["milnor", "--n", "3", "--k", "2",
+     "--braid", f"[A(1,2), A(1,3)^-{MAX_LETTERS // 2}]"],
+    ["level", "--n", "3", "--braid", f"[A(1,2), A(1,3)]^{MAX_LETTERS // 4 + 1}"],
+    ["milnor", "--n", "3",
+     "--braid", f"A(1,2)^{MAX_LETTERS // 2} A(2,3)^-{MAX_LETTERS // 2 + 1}"],
+    ["longitudes", "--n", "3",
+     "--braid", "[[A(1,2), A(1,3)], [A(2,3), [A(1,2)^-1, A(1,3)]]]"],
+], ids=["power", "huge-power", "commutator", "commutator-power", "flat",
+        "longitude-growth"])
+def test_oversized_braid_work_exit_code(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert f"more than {MAX_LETTERS} letters" in err
+    assert out == "" and "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+def test_letter_limit_boundary():
+    assert len(parse_braid(f"A(1,2)^-{MAX_LETTERS}", 2)) == MAX_LETTERS
+    assert len(parse_braid(f"[A(1,2), A(1,3)]^{MAX_LETTERS // 4}", 3)) == MAX_LETTERS
+    for text in [f"A(1,2)^{MAX_LETTERS + 1}", f"A(1,2) A(1,2)^{MAX_LETTERS}",
+                 f"[A(1,2), A(1,3)]^{MAX_LETTERS // 4 + 1}"]:
+        with pytest.raises(ScaleError):
+            parse_braid(text, 3)
+    # generator indices are checked before the size of their power
+    with pytest.raises(BraidSyntaxError):
+        parse_braid(f"A(2,1)^{10 * MAX_LETTERS}", 3)
 
 
 @pytest.mark.parametrize("doc", [
