@@ -5,7 +5,7 @@ realisations of their refinements."""
 __version__ = "0.1.0"
 
 from .words import (Braid, LongitudeTuple, ScaleError, Word, artin_action,
-                    braid_commutator, commutator, longitudes, pure_braid_relations)
+                    commutator, longitudes, pure_braid_relations)
 from .tensor import Substitution, TensorSeries
 from .lie import (HTensorLie, LieElement, bch, bracket_map_matrix, conjugating_element,
                   conjugator, d_dimension, lyndon_words, witt_dim)

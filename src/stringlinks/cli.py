@@ -49,7 +49,7 @@ from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
                      required_truncation, sigma)
 from .trees import eta_inverse
 from .words import (MAX_LETTERS, Braid, LongitudeTuple, ScaleError, Word,
-                    longitudes)
+                    commutator, longitudes)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -141,7 +141,7 @@ def parse_braid(text: str, n: int) -> Braid:
                 raise BraidSyntaxError("unclosed commutator bracket")
             pos += 1
             check(2 * (len(left) + len(right)))
-            base = left * right * left.inverse() * right.inverse()
+            base = commutator(left, right)
             power = parse_power()
             check(len(base) * abs(power))
             return base ** power
@@ -429,10 +429,16 @@ def cmd_morita(args) -> int:
 def cmd_verify(args) -> int:
     data = _resolve_input(args)
     checks: list[tuple[str, bool]] = []
-    level = filtration_degree(data, max_k=args.k or 6)
+    cap = args.k or 6
+    level = filtration_degree(data, max_k=cap)
     k = args.k or max(level, 1)
+    # without --k, a level at the cap only bounds the input's level from
+    # below (the identity braid lies in every level): only the degree-k
+    # checks run
+    refined = args.k is not None or level < cap
     # the degree-k checks need truncation k + 1, the refined ones run at k - 1
-    theta, meta = _resolve_expansion(args, max(k + 1, required_truncation(k - 1)))
+    theta, meta = _resolve_expansion(
+        args, max(k + 1, required_truncation(k - 1)) if refined else k + 1)
     report = is_special(theta)
     checks.append(("expansion is special", report.is_special))
     aut = special_artin(data, theta)
@@ -446,23 +452,20 @@ def cmd_verify(args) -> int:
     alt = build_special(theta.n, theta.trunc, strategy="randomized", seed=17)
     alt_deg = special_artin(data, alt).invariant().degree_component(k)
     checks.append((f"degree-{k} part expansion-independent", deg == alt_deg))
-    if level > k:
-        checks.append((f"input is actually deeper than level {k} "
-                       f"(level {level}); refined checks skipped", True))
-        ok = all(flag for _, flag in checks)
-    else:
-        inp = MoritaInput(data, theta, k - 1) if k >= 2 else None
-        if inp is not None:
-            sigma(inp)
-            checks.append(("sigma is a 2-cycle", True))  # sigma() raises otherwise
-            lhs, rhs = diagram_sides(inp)
-            checks.append(("commutative diagram", lhs == rhs))
-            checks.append((
-                "class independent of the bounding chain",
-                lhs == morita_milnor(inp, "backward")))
-            checks.append((f"d2 composition equals mu_{k}",
-                           d2_composition(lhs) == milnor_degree(data, theta, k)))
-        ok = all(flag for _, flag in checks)
+    if not refined:
+        checks.append((f"input is at least level {k}; refined checks skipped", True))
+    elif k >= 2:
+        inp = MoritaInput(data, theta, k - 1)
+        sigma(inp)
+        checks.append(("sigma is a 2-cycle", True))  # sigma() raises otherwise
+        lhs, rhs = diagram_sides(inp)
+        checks.append(("commutative diagram", lhs == rhs))
+        checks.append((
+            "class independent of the bounding chain",
+            lhs == morita_milnor(inp, "backward")))
+        checks.append((f"d2 composition equals mu_{k}",
+                       d2_composition(lhs) == milnor_degree(data, theta, k)))
+    ok = all(flag for _, flag in checks)
     doc = {"command": "verify", "n": args.n, "k": k, **meta,
            "checks": [{"name": name, "ok": flag} for name, flag in checks],
            "ok": ok}

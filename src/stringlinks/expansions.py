@@ -34,7 +34,6 @@ the shared kernel of ``tensor``.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from fractions import Fraction
 
@@ -188,15 +187,6 @@ class Expansion:
                 ((tuple(t["word"]), Fraction(t["coefficient"])) for t in terms))
             for terms in doc["images"])
         return cls(n, trunc, images)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "Expansion":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def magnus_expansion(n: int, trunc: int) -> Expansion:

@@ -102,18 +102,8 @@ class ExteriorChain(Combination):
         self.p = p
         super().__init__(coeffs)
 
-    def _space(self) -> tuple[NilpotentBasis, int]:
-        return self.basis, self.p
-
-    def _new(self, coeffs: dict) -> "ExteriorChain":
-        return ExteriorChain(self.basis, self.p, coeffs)
-
     def _degree(self, t: IndexTuple) -> int:
         return sum(self.basis.degrees[k] for k in t)
-
-    @classmethod
-    def zero(cls, basis: NilpotentBasis, p: int) -> "ExteriorChain":
-        return cls(basis, p)
 
     @classmethod
     def wedge(cls, basis: NilpotentBasis, factors: list[LieElement]) -> "ExteriorChain":
@@ -316,9 +306,6 @@ class HomologyBasis:
             offset += len(block.reps)
         return HomologyClass(self, coeffs)
 
-    def zero_class(self) -> "HomologyClass":
-        return HomologyClass(self)
-
     def fingerprint(self) -> str:
         """Stable hash of the representative matrix, for cross-run comparison;
         the hashed text is ``repr((p, n, degree_cap, [(d, [[str(c), ...]])]))``."""
@@ -351,12 +338,6 @@ class HomologyClass(Combination):
                  coeffs: dict[int, Fraction] | None = None):
         self.homology = homology_basis
         super().__init__(coeffs)
-
-    def _space(self) -> tuple[HomologyBasis]:
-        return (self.homology,)
-
-    def _new(self, coeffs: dict) -> "HomologyClass":
-        return HomologyClass(self.homology, coeffs)
 
     def _degree(self, k: int) -> int:
         return self.homology.rep_index[k][0]

@@ -199,17 +199,7 @@ class LieElement(Combination):
         self.n = n
         super().__init__(coeffs)
 
-    def _space(self) -> tuple[int]:
-        return (self.n,)
-
-    def _new(self, coeffs: dict) -> "LieElement":
-        return LieElement(self.n, coeffs)
-
     _degree = staticmethod(len)
-
-    @classmethod
-    def zero(cls, n: int) -> "LieElement":
-        return cls(n)
 
     @classmethod
     def generator(cls, n: int, i: int) -> "LieElement":
@@ -253,9 +243,6 @@ class LieElement(Combination):
                 add_to(out, word, c * cw)
         return TensorSeries(self.n, trunc, out)
 
-    def sorted_terms(self) -> list[tuple[Wd, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -285,19 +272,9 @@ class HTensorLie(Combination):
         self.n = n
         super().__init__(coeffs)
 
-    def _space(self) -> tuple[int]:
-        return (self.n,)
-
-    def _new(self, coeffs: dict) -> "HTensorLie":
-        return HTensorLie(self.n, coeffs)
-
     @staticmethod
     def _degree(key: tuple[int, Wd]) -> int:
         return len(key[1])
-
-    @classmethod
-    def zero(cls, n: int) -> "HTensorLie":
-        return cls(n)
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "HTensorLie":

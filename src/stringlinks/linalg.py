@@ -5,9 +5,13 @@ some basis: tensor words (``TensorSeries``), Lyndon words
 (``LieElement``), (generator, Lyndon word) pairs (``HTensorLie``),
 exterior tuples (``ExteriorChain``), tree diagrams (``TreeCombination``)
 and homology representatives (``HomologyClass``).  ``Combination`` holds
-the zero-free arithmetic they share, ``add_to`` is its one accumulation
-step, and ``Combination.vector`` is the one reader of a dense coordinate
-list over an ordered basis; ``dict(zip(keys, coordinates))`` through the
+the zero-free arithmetic they share and derives each value's space, zero
+and same-space constructor from the subclass's constructor signature
+``(*space, coeffs=None)``: a subclass supplies only that constructor, the
+grading ``_degree`` and, where it prints in another order, its own
+``sorted_terms``.  ``add_to`` is the one accumulation step, and
+``Combination.vector`` is the one reader of a dense coordinate list over
+an ordered basis; ``dict(zip(keys, coordinates))`` through the
 zero-dropping constructor is the way back.
 
 Every linear system the library meets (the bracket contraction behind
@@ -48,11 +52,12 @@ def add_to(out: dict, key, c) -> None:
 class Combination:
     """A finite combination of basis keys with nonzero exact coefficients.
 
-    Values are immutable.  A subclass names the space it lives in
-    (``_space``: values of different spaces never mix), builds values of
-    that space (``_new``) and grades its keys (``_degree``); the
-    arithmetic, equality, hashing and degree filters are defined here
-    once.
+    Values are immutable.  A subclass supplies its constructor
+    ``(*space, coeffs=None)``, whose space arguments it keeps in its own
+    ``__slots__`` (values of different spaces never mix), and grades its
+    keys (``_degree``); building values of the same space (``_new``,
+    ``zero``), the arithmetic, equality, hashing, degree filters and the
+    default print order are defined here once.
     """
 
     __slots__ = ("coeffs",)
@@ -62,11 +67,15 @@ class Combination:
             coeffs = {k: c for k, c in coeffs.items() if c}
         self.coeffs = {} if coeffs is None else coeffs
 
+    @classmethod
+    def zero(cls, *space):
+        return cls(*space)
+
     def _space(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def _new(self, coeffs: dict):
-        raise NotImplementedError
+        return type(self)(*self._space(), coeffs)
 
     def _degree(self, key) -> int:
         raise NotImplementedError
@@ -122,6 +131,10 @@ class Combination:
 
     def max_degree(self) -> int | None:
         return max(map(self._degree, self.coeffs), default=None)
+
+    def sorted_terms(self) -> list:
+        """Terms by degree, then key."""
+        return sorted(self.coeffs.items(), key=lambda t: (self._degree(t[0]), t[0]))
 
     def vector(self, keys: tuple) -> Vector:
         """Coefficients over an ordered key tuple; a term outside it raises ValueError."""

@@ -51,6 +51,12 @@ class FiltrationError(ValueError):
             f"invariant already nonzero in degree {first_degree}")
 
 
+def _conjugated_generator(y: LieElement, i: int, trunc: int) -> TensorSeries:
+    """exp(y) X_i exp(-y) at truncation trunc."""
+    u = y.to_tensor(trunc).exp()
+    return u * TensorSeries.generator(y.n, trunc, i) * u.inverse()
+
+
 class SpecialAutData:
     """A special automorphism X_i |-> exp(Y_i) X_i exp(-Y_i), fixing sum X_i.
 
@@ -78,8 +84,7 @@ class SpecialAutData:
 
     def generator_image(self, i: int) -> TensorSeries:
         """exp(Y_i) X_i exp(-Y_i) as a series, exact through max_degree + 1."""
-        u = self.entries[i - 1].to_tensor(self._trunc()).exp()
-        return u * TensorSeries.generator(self.n, self._trunc(), i) * u.inverse()
+        return _conjugated_generator(self.entries[i - 1], i, self._trunc())
 
     def apply(self, series: TensorSeries) -> TensorSeries:
         """The automorphism applied to an arbitrary series."""
@@ -172,10 +177,8 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
         # entries exact through degree round_ fix Phi, and so the Y, through
         # degree round_ + 1: this round needs no higher truncation than that
         t = min(trunc, round_ + 1)
-        exps = [y.to_tensor(t).exp() for y in entries]
-        images = [exps[i - 1] * TensorSeries.generator(n, t, i) * exps[i - 1].inverse()
-                  for i in range(1, n + 1)]
-        transport = Substitution(images)
+        transport = Substitution([_conjugated_generator(y, i, t)
+                                  for i, y in enumerate(entries, start=1)])
         new_entries = []
         for i in range(1, n + 1):
             b = (transport(witness_inverses[i - 1].truncate(t))

@@ -154,18 +154,11 @@ class TensorSeries(Combination):
         return self.coeffs
 
     def _space(self) -> tuple[int, int]:
-        return self.n, self.trunc
-
-    def _new(self, coeffs: dict) -> "TensorSeries":
-        return TensorSeries(self.n, self.trunc, coeffs)
+        return self.n, self.trunc  # the other slots hold the integer form
 
     _degree = staticmethod(len)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, trunc: int) -> "TensorSeries":
-        return cls(n, trunc)
 
     @classmethod
     def one(cls, n: int, trunc: int) -> "TensorSeries":
@@ -255,9 +248,6 @@ class TensorSeries(Combination):
             [Q0] + [Fraction((-1) ** (m - 1), m) for m in range(1, self.trunc + 1)])
 
     # -- rendering -----------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[Wd, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: (len(t[0]), t[0]))
 
     def __str__(self) -> str:
         if not self.coeffs:

@@ -79,23 +79,23 @@ def _sort_expr(expr):
     return (left, right), sign
 
 
+def _walk(node, context):
+    """Each node of a presentation with its context branch, in pre-order.
+
+    Called as ``_walk(expr, root)``; the context of a node is the rest of
+    the tree seen from it, re-rooted through its parent edge.
+    """
+    yield node, context
+    if not isinstance(node, int):
+        left, right = node
+        yield from _walk(left, (right, context))
+        yield from _walk(right, (context, left))
+
+
 def _presentations(root: int, expr):
     """All presentations of the abstract tree, one per leaf; sign-free."""
-    out = [(root, expr)]
-
-    def walk(node, context):
-        if isinstance(node, int):
-            out.append((node, context))
-            return
-        left, right = node
-        walk(left, (right, context))
-        walk(right, (context, left))
-
-    if isinstance(expr, int):
-        out.append((expr, root))
-    else:
-        walk(expr, root)
-    return out
+    return [(root, expr)] + [(node, context) for node, context in _walk(expr, root)
+                             if isinstance(node, int)]
 
 
 class TreeDiagram(Value):
@@ -157,19 +157,9 @@ class TreeDiagram(Value):
 
     def trivalent_branches(self) -> list[tuple]:
         """For each trivalent vertex, its three branch expressions in cyclic order."""
-        out = []
-
-        def walk(node, context):
-            if isinstance(node, int):
-                return
-            left, right = node
-            out.append((context, right, left))
-            walk(left, (right, context))
-            walk(right, (context, left))
-
-        if not isinstance(self.expr, int):
-            walk(self.expr, self.root)
-        return out
+        return [(context, node[1], node[0])
+                for node, context in _walk(self.expr, self.root)
+                if not isinstance(node, int)]
 
     def to_dot(self, name: str = "tree") -> str:
         """Graphviz rendering; leaves are labelled circles, internal vertices
@@ -224,18 +214,8 @@ class TreeCombination(Combination):
         self.n = n
         super().__init__(coeffs)
 
-    def _space(self) -> tuple[int]:
-        return (self.n,)
-
-    def _new(self, coeffs: dict) -> "TreeCombination":
-        return TreeCombination(self.n, coeffs)
-
     def _degree(self, diagram: TreeDiagram) -> int:
         return diagram.degree
-
-    @classmethod
-    def zero(cls, n: int) -> "TreeCombination":
-        return cls(n)
 
     def add_tree(self, root: int, expr, coeff) -> "TreeCombination":
         """Add coeff times the presented tree (canonicalising, tracking sign)."""

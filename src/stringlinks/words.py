@@ -140,10 +140,6 @@ class Word(Value):
         return "*".join(parts)
 
 
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * a.inverse() * b.inverse()
-
-
 class Braid(Value):
     """A word in the band generators ``A_ij`` of the pure braid group."""
 
@@ -193,7 +189,8 @@ class Braid(Value):
                         for i, j, e in self.letters)
 
 
-def braid_commutator(a: Braid, b: Braid) -> Braid:
+def commutator(a: Word | Braid, b: Word | Braid) -> Word | Braid:
+    """a b a^-1 b^-1, for words and braids alike."""
     return a * b * a.inverse() * b.inverse()
 
 

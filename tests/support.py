@@ -10,7 +10,7 @@ import random
 
 from stringlinks import Braid, build_special, filtration_degree
 from stringlinks.tensor import Q0, TensorSeries
-from stringlinks.words import braid_commutator
+from stringlinks.words import commutator
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,7 +43,7 @@ def random_filtration_braid(n, k, rng, max_tries=40):
         out = random_braid(n, rng.randint(1, 3), rng)
         for _level in range(k - 1):
             other = random_braid(n, rng.randint(1, 2), rng)
-            out = braid_commutator(out, other)
+            out = commutator(out, other)
         level = filtration_degree(out, k + 1)
         if level == k:
             return out
@@ -53,13 +53,13 @@ def random_filtration_braid(n, k, rng, max_tries=40):
 def nested_commutator_corpus(n=3):
     """Named small braids used across tests: filtration levels 1, 2, 3, 5."""
     g12, g13, g23 = Braid.gen(n, 1, 2), Braid.gen(n, 1, 3), Braid.gen(n, 2, 3)
-    c2a = braid_commutator(g12, g13)
-    c2b = braid_commutator(g12, g23)
-    c2c = braid_commutator(g13, g23)
-    c3a = braid_commutator(g12, c2a)
-    c3b = braid_commutator(c2a, g13)
-    c3c = braid_commutator(g23, c2a)
-    c5 = braid_commutator(c2a, c3a)
+    c2a = commutator(g12, g13)
+    c2b = commutator(g12, g23)
+    c2c = commutator(g13, g23)
+    c3a = commutator(g12, c2a)
+    c3b = commutator(c2a, g13)
+    c3c = commutator(g23, c2a)
+    c5 = commutator(c2a, c3a)
     return {
         "g": (g12, g13, g23),
         "level2": (c2a, c2b, c2c),

@@ -7,7 +7,7 @@ import pytest
 from stringlinks import cli
 from stringlinks.cli import (BraidSyntaxError, EXIT_OK, EXIT_PARSE,
                              EXIT_PRECONDITION, main, parse_braid)
-from stringlinks.words import MAX_LETTERS, Braid, ScaleError, braid_commutator
+from stringlinks.words import MAX_LETTERS, Braid, ScaleError, commutator
 
 
 def run(capsys, *argv):
@@ -24,11 +24,11 @@ def test_parse_braid_grammar():
         Braid.gen(3, 1, 2) * Braid.gen(3, 1, 3, -1))
     assert parse_braid("", 3) == Braid.identity(3)
     com = parse_braid("[A(1,2), A(1,3)]", 3)
-    assert com == braid_commutator(Braid.gen(3, 1, 2), Braid.gen(3, 1, 3))
+    assert com == commutator(Braid.gen(3, 1, 2), Braid.gen(3, 1, 3))
     nested = parse_braid("[A(1,2), [A(1,2), A(1,3)]]", 3)
-    assert nested == braid_commutator(
+    assert nested == commutator(
         Braid.gen(3, 1, 2),
-        braid_commutator(Braid.gen(3, 1, 2), Braid.gen(3, 1, 3)))
+        commutator(Braid.gen(3, 1, 2), Braid.gen(3, 1, 3)))
     powered = parse_braid("[A(1,2), A(1,3)]^2", 3)
     assert powered == com * com
 
@@ -346,10 +346,9 @@ def test_verify_command(capsys):
     assert "[FAIL]" not in out
 
 
-@pytest.mark.parametrize("k, trunc", [("1", 2), ("2", 4)])
-def test_verify_sizes_expansions_by_its_checks(capsys, monkeypatch, k, trunc):
-    # the degree-k checks need truncation k + 1 and the refined checks at
-    # k - 1 need 2k, so both expansions are built at max(k + 1, 2k)
+@pytest.fixture
+def builds(monkeypatch):
+    """The truncations the CLI asks ``build_special`` for, in order."""
     asked = []
     build = cli.build_special
 
@@ -358,11 +357,31 @@ def test_verify_sizes_expansions_by_its_checks(capsys, monkeypatch, k, trunc):
         return build(n, t, *args, **kwargs)
 
     monkeypatch.setattr(cli, "build_special", recording)
+    return asked
+
+
+@pytest.mark.parametrize("k, trunc", [("1", 2), ("2", 4)])
+def test_verify_sizes_expansions_by_its_checks(capsys, builds, k, trunc):
+    # the degree-k checks need truncation k + 1 and the refined checks at
+    # k - 1 need 2k, so both expansions are built at max(k + 1, 2k)
     code, out, _ = run(capsys, "verify", "--braid", "[A(1,2), A(1,3)]", "--n", "3",
                        "--k", k)
     assert code == EXIT_OK
     assert "[FAIL]" not in out
-    assert asked == [trunc, trunc]
+    assert builds == [trunc, trunc]
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_identity_braid_without_k(capsys, builds, n):
+    # the identity braid shows no nonzero degree up to the cap of 6, which
+    # only bounds its level from below: the degree-6 checks run at
+    # truncation 7 and the refined checks are skipped
+    code, out, err = run(capsys, "verify", "--n", n, "--braid", "")
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("[PASS]") for line in lines)
+    assert "refined checks skipped" in lines[-1]
+    assert builds == [7, 7]
 
 
 # sha256 of the JSON output on [A(1,2), A(1,3)] at n = 3: the rendering of

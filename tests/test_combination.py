@@ -92,6 +92,7 @@ def test_shared_arithmetic(make, space, other_space, seed):
     # no zero coefficient is ever stored
     assert (x - x).coeffs == {} and (x - x).is_zero()
     assert x.scale(0).is_zero() and x.scale(0) == x - x
+    assert type(x).zero(*x._space()) == x.scale(0)
     assert (x + -x).coeffs == {}
     assert all((x + y).coeffs.values())
     assert x + y == y + x

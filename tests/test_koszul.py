@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringlinks.koszul import (ExteriorChain, NotACycleError,
+from stringlinks.koszul import (ExteriorChain, HomologyClass, NotACycleError,
                                 _boundary_columns, boundary, exterior_basis,
                                 homology, nilpotent_basis, phi_class)
 from stringlinks.lie import LieElement, d_dimension, witt_dim
@@ -132,7 +132,7 @@ def test_homology_degree_components_sum():
         part = cls.degree_component(d)
         total = part if total is None else total + part
     assert total == cls
-    zero = h.zero_class()
+    zero = HomologyClass.zero(h)
     assert zero.degree_component(3).is_zero()
 
 

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringlinks.words import (Braid, LongitudeTuple, Word, artin_action,
-                               braid_commutator, commutator, longitudes,
-                               pure_braid_relations)
+                               commutator, longitudes, pure_braid_relations)
 
 from support import random_braid, seeded
 
@@ -150,7 +149,7 @@ def test_longitudes_of_generator():
 
 
 def test_longitudes_of_commutator_abelianise_to_zero():
-    b = braid_commutator(Braid.gen(3, 1, 2), Braid.gen(3, 1, 3))
+    b = commutator(Braid.gen(3, 1, 2), Braid.gen(3, 1, 3))
     lt = longitudes(b)
     for y in lt.words:
         for k in range(1, 4):
