@@ -12,8 +12,8 @@ from .lie import (HTensorLie, LieElement, bch, bracket_map_matrix, conjugating_e
 from .expansions import (Expansion, SpecialityReport, build_special, exp_expansion,
                          filtration_degree, is_grouplike_expansion, is_special,
                          magnus_expansion)
-from .milnor import (FiltrationError, SpecialAutData, milnor_degree, special_artin,
-                     total_milnor, truncated_milnor)
+from .milnor import (FiltrationError, SpecialAutData, milnor_degree, milnor_window,
+                     special_artin, total_milnor, truncated_milnor)
 from .trees import (TreeCombination, TreeDiagram, enumerate_trees, eta,
                     eta_combination, eta_inverse, fission, fission_combination)
 from .koszul import (ExteriorChain, HomologyBasis, HomologyClass, NilpotentBasis,

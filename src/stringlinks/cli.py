@@ -23,11 +23,13 @@ below 2, brackets nested too deeply, a JSON input file of the wrong shape
 or encoding, and an input path that cannot be read), 3 violated
 mathematical precondition (filtration, speciality, scale, a longitude
 file whose strand count differs from ``--n``), 4 internal invariant
-failure.  Scale includes a braid word of more than ``words.MAX_LETTERS``
-(3 * 10**6) letters once its powers and commutators are expanded, refused
-before the word is built, and longitude words that grow past that many
-letters in total while ``longitudes`` computes them.  All randomness is
-seed-controlled and echoed in the output, and output is
+failure.  Scale covers a braid word of more than ``words.MAX_LETTERS``
+(3 * 10**6) letters once expanded, refused before the word is built,
+longitude words growing past that many letters in total, and tree degrees
+beyond ``trees.MAX_DEGREE`` or ``MAX_COLORS``, which ``morita`` and
+refined ``verify`` refuse before any series work.  Every Milnor value is
+a degree window lo..hi of the total invariant, needing truncation hi + 1.
+All randomness is seed-controlled and echoed in the output, and output is
 byte-deterministic given the configuration.
 """
 
@@ -43,11 +45,10 @@ from . import __version__
 from .expansions import (Expansion, build_special, filtration_degree,
                          is_special)
 from .koszul import NotACycleError, homology
-from .milnor import (FiltrationError, milnor_degree, special_artin,
-                     total_milnor, truncated_milnor)
+from .milnor import FiltrationError, milnor_degree, milnor_window, special_artin
 from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
                      required_truncation, sigma)
-from .trees import eta_inverse
+from .trees import enumerate_trees, eta_inverse
 from .words import (MAX_LETTERS, Braid, LongitudeTuple, ScaleError, Word,
                     commutator, longitudes)
 
@@ -307,15 +308,11 @@ def cmd_milnor(args) -> int:
     if args.mode != "total" and args.k is None:
         raise ValueError(f"--k is required for mode {args.mode}")
     if args.mode == "total":
-        degree = args.trunc or (2 * (args.k or 1) + 1)
-        theta, meta = _resolve_expansion(args, degree + 1)
-        value = total_milnor(data, theta, degree)
-    elif args.mode == "degree":
-        theta, meta = _resolve_expansion(args, args.k + 1)
-        value = milnor_degree(data, theta, args.k)
+        lo, hi = 1, args.trunc or (2 * (args.k or 1) + 1)
     else:
-        theta, meta = _resolve_expansion(args, 2 * args.k)
-        value = truncated_milnor(data, theta, args.k)
+        lo, hi = args.k, (args.k if args.mode == "degree" else 2 * args.k - 1)
+    theta, meta = _resolve_expansion(args, hi + 1)
+    value = milnor_window(data, theta, lo, hi)
     doc = {"command": "milnor", "mode": args.mode, "n": args.n, "k": args.k,
            "entries": value.to_json_entries(), **meta}
     _emit(args, doc, str(value))
@@ -370,8 +367,7 @@ def cmd_expansion(args) -> int:
 def cmd_trees(args) -> int:
     data = _resolve_input(args)
     theta, meta = _resolve_expansion(args, 2 * args.k)
-    value = truncated_milnor(data, theta, args.k)
-    comb = eta_inverse(value)
+    comb = eta_inverse(milnor_window(data, theta, args.k, 2 * args.k - 1))
     entries = [{"tree": str(t), "degree": t.degree, "coefficient": str(c)}
                for t, c in comb.sorted_terms()]
     doc = {"command": "trees", "n": args.n, "k": args.k, "terms": entries, **meta}
@@ -410,6 +406,7 @@ def cmd_homology(args) -> int:
 
 def cmd_morita(args) -> int:
     data = _resolve_input(args)
+    enumerate_trees(args.n, 2 * args.k)  # refuses d2_composition's span up front
     theta, meta = _resolve_expansion(args, required_truncation(args.k))
     inp = MoritaInput(data, theta, args.k)
     lhs, rhs = diagram_sides(inp)
@@ -436,6 +433,8 @@ def cmd_verify(args) -> int:
     # below (the identity braid lies in every level): only the degree-k
     # checks run
     refined = args.k is not None or level < cap
+    if refined and k >= 2:
+        enumerate_trees(args.n, 2 * k - 2)  # d2_composition's span at k - 1
     # the degree-k checks need truncation k + 1, the refined ones run at k - 1
     theta, meta = _resolve_expansion(
         args, max(k + 1, required_truncation(k - 1)) if refined else k + 1)

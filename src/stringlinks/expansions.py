@@ -26,9 +26,9 @@ their integer Magnus images (``magnus_integer``, and
 ``braid_magnus_images`` for the longitudes of a braid, whose cost does not
 grow with the longitudes' length).  It multiplies each letter into one
 accumulator in place, acc <- acc + acc (f - 1), with no new series per
-letter.  The substitution S(X_j) = theta(x_j) - 1 maps such an image to
-theta(word) by one linear combination.  Every product here runs through
-the shared kernel of ``tensor``.
+letter.  Magnus images stay integer-coded series, and the substitution
+S(X_j) = theta(x_j) - 1 maps one to theta(word) by one linear
+combination.  Every product here runs through the shared kernel of ``tensor``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from . import linalg
 from .lie import (LieElement, bracket_map_matrix, conjugator, h_tensor_l_basis,
                   is_grouplike, lyndon_words)
 from .linalg import Q1
-from .tensor import Substitution, TensorSeries, Wd, convolve, decode
+from .tensor import Substitution, TensorSeries, convolve
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
 
 
@@ -70,14 +70,14 @@ def _word_image(letters, factors: list[TensorSeries], inverses: dict) -> TensorS
     return TensorSeries._over(n, trunc, den, acc)
 
 
-def magnus_integer(n: int, trunc: int, letters) -> dict[Wd, int]:
-    """Integer coefficients of the standard Magnus image x_g |-> 1 + X_g of a word.
+def magnus_integer(n: int, trunc: int, letters) -> TensorSeries:
+    """The standard Magnus image x_g |-> 1 + X_g of a word, an integer series.
 
     The inverse of 1 + X_g is sum_m (-X_g)^m, so everything stays in Python
     ints; this is the fast path for very long longitude words.
     """
     factors = [TensorSeries(n, trunc, {(): Q1, (g,): Q1}) for g in range(1, n + 1)]
-    return decode(_word_image(letters, factors, {})._integral()[1], n)
+    return _word_image(letters, factors, {})
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,7 +85,7 @@ def _letter_longitudes(n: int, i: int, j: int, e: int) -> tuple[Word, ...]:
     return longitudes(Braid(n, ((i, j, e),))).words
 
 
-def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
+def braid_magnus_images(braid: Braid, trunc: int) -> list[TensorSeries]:
     """Integer Magnus images of the normalised longitudes of a braid.
 
     Iterates the stacking law  y_i(L * l) = Art(L)(y_i(l)) * y_i(L)  at the
@@ -105,7 +105,7 @@ def braid_magnus_images(braid: Braid, trunc: int) -> list[dict[Wd, int]]:
         gen_words = _generator_images(n, i, j, e)
         action = [_word_image(gen_words[k].letters, action, inverses)
                   if k in gen_words else action[k - 1] for k in range(1, n + 1)]
-    return [decode(y._integral()[1], n) for y in longs]
+    return longs
 
 
 # words at least this long are evaluated through the integer Magnus route
@@ -129,7 +129,7 @@ class Expansion:
         self.n = n
         self.trunc = trunc
         self.images = images
-        # special_artin results by (input letters, max_degree)
+        # special_artin results by (input, max_degree)
         self._artin_cache: dict[tuple, object] = {}
         self._speciality: SpecialityReport | None = None
 
@@ -153,7 +153,7 @@ class Expansion:
             raise ValueError("requested truncation exceeds the expansion's")
         if len(word.letters) >= _DENSE_EVAL_CUTOFF:
             image = magnus_integer(self.n, trunc, word.letters)
-            return self.magnus_substitution(trunc).combine(image)
+            return self.magnus_substitution(trunc)(image)
         return _word_image(word.letters, [img.truncate(trunc) for img in self.images], {})
 
     def magnus_substitution(self, trunc: int) -> Substitution:
@@ -344,7 +344,7 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
     return theta
 
 
-def longitude_magnus_images(data: Braid | LongitudeTuple, trunc: int) -> list[dict[Wd, int]]:
+def longitude_magnus_images(data: Braid | LongitudeTuple, trunc: int) -> list[TensorSeries]:
     """Integer Magnus images of the longitudes, by the cheapest route."""
     if isinstance(data, Braid):
         return braid_magnus_images(data, trunc)
@@ -370,7 +370,7 @@ def filtration_degree(data: Braid | LongitudeTuple, max_k: int) -> int:
     while True:
         trunc = min(trunc, max_k)
         images = longitude_magnus_images(data, trunc)
-        lowest = min((len(w) for image in images for w in image if w), default=None)
+        lowest = min((d for y in images for d in y._integral()[1] if d), default=None)
         if lowest is not None or trunc == max_k:
             return lowest or max_k
         trunc *= 2

@@ -158,18 +158,14 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
         raise ValueError("requested degree exceeds the longitude tuple's "
                          "trust level")
 
-    if isinstance(data, Braid):
-        cache_key = (data.letters, max_degree)
-    else:
-        cache_key = (tuple(y.letters for y in data.words), max_degree)
-    cache = theta._artin_cache
-    if cache_key in cache:
-        return cache[cache_key]
+    key = (data, max_degree)  # values hash by n, letters and trust level
+    if key in theta._artin_cache:
+        return theta._artin_cache[key]
 
     witnesses = [u.truncate(trunc) for u in report.witnesses]
     witness_inverses = [u.inverse() for u in witnesses]
     to_theta = theta.magnus_substitution(trunc)
-    tails = [to_theta.combine(image) * witnesses[i]
+    tails = [to_theta(image) * witnesses[i]
              for i, image in enumerate(longitude_magnus_images(data, trunc))]
 
     entries = tuple(LieElement.zero(n) for _ in range(n))
@@ -204,7 +200,7 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
         result.validate(through_degree=min(max_degree + 1, data.truncation))
     else:
         result.validate()
-    cache[cache_key] = result
+    theta._artin_cache[key] = result
     return result
 
 
@@ -214,10 +210,14 @@ def total_milnor(data: Braid | LongitudeTuple, theta: Expansion,
     return special_artin(data, theta, max_degree).invariant()
 
 
-def _require_filtration(value: HTensorLie, k: int) -> None:
-    for d in value.degrees():
-        if d < k:
-            raise FiltrationError(k, d)
+def milnor_window(data: Braid | LongitudeTuple, theta: Expansion, lo: int,
+                  hi: int) -> HTensorLie:
+    """Degrees lo..hi of the total invariant, needing expansion truncation hi + 1;
+    raises FiltrationError when the input is not in filtration level lo."""
+    value = total_milnor(data, theta, max_degree=hi)
+    if (value.min_degree() or lo) < lo:
+        raise FiltrationError(lo, value.min_degree())
+    return value.degree_range(lo, hi)
 
 
 def milnor_degree(data: Braid | LongitudeTuple, theta: Expansion, k: int) -> HTensorLie:
@@ -226,16 +226,12 @@ def milnor_degree(data: Braid | LongitudeTuple, theta: Expansion, k: int) -> HTe
     Independent of the choice of special expansion, and valued in the
     kernel of the bracket contraction.
     """
-    value = total_milnor(data, theta, max_degree=k)
-    _require_filtration(value, k)
-    return value.degree_component(k)
+    return milnor_window(data, theta, k, k)
 
 
 def truncated_milnor(data: Braid | LongitudeTuple, theta: Expansion, k: int) -> HTensorLie:
     """Degrees k..2k-1 of the total invariant; additive on filtration-k inputs."""
-    value = total_milnor(data, theta, max_degree=2 * k - 1)
-    _require_filtration(value, k)
-    return value.degree_range(k, 2 * k - 1)
+    return milnor_window(data, theta, k, 2 * k - 1)
 
 
 # -- reference implementation -------------------------------------------------

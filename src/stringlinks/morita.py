@@ -28,7 +28,7 @@ from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
                      _boundary_columns, boundary, exterior_basis, homology,
                      nilpotent_basis, phi_class)
 from .lie import HTensorLie
-from .milnor import _require_filtration, special_artin
+from .milnor import milnor_window
 from .linalg import Q1
 from .trees import TreeCombination, enumerate_trees, eta_combination, eta_inverse
 from .words import Braid, LongitudeTuple
@@ -56,10 +56,7 @@ class MoritaInput:
                 f"degree-{self.k} pipeline needs {required_truncation(self.k)}")
 
     def conjugating_data(self) -> HTensorLie:
-        value = special_artin(self.data, self.theta,
-                              max_degree=2 * self.k + 1).invariant()
-        _require_filtration(value, self.k + 1)
-        return value
+        return milnor_window(self.data, self.theta, self.k + 1, 2 * self.k + 1)
 
 
 def sigma(inp: MoritaInput) -> ExteriorChain:

@@ -269,9 +269,9 @@ class Substitution:
     degree keyed by word code, as integer degree buckets over one
     gcd-reduced denominator; a new prefix costs one ``convolve`` with a
     generator image, and the table persists for the lifetime of the
-    object.  Applying the substitution to coefficients c_w is then one
-    integer linear combination over the common denominator, for rational
-    series (``__call__``) and integer Magnus images (``combine``) alike.
+    object.  Applying the substitution to a series, rational or an integer
+    Magnus image, is then one integer linear combination over the common
+    denominator.
     """
 
     def __init__(self, images: list[TensorSeries]):
@@ -309,7 +309,3 @@ class Substitution:
         for c, (entry_den, image) in terms:
             convolve({0: {0: c * (lcm // entry_den)}}, image, self.n, self.trunc, acc)
         return TensorSeries._over(self.n, self.trunc, den * lcm, acc)
-
-    def combine(self, coeffs: dict) -> TensorSeries:
-        """sum_w coeffs[w] * (image of w), for int or Fraction coefficients."""
-        return self(TensorSeries(self.n, self.trunc, coeffs))

@@ -278,10 +278,10 @@ class LongitudeTuple(Value):
 def longitudes(braid: Braid) -> LongitudeTuple:
     """Extract the normalised longitude words of a pure braid.
 
-    The image of each generator under the Artin action is a conjugate of
-    that generator; the conjugator is peeled off the reduced word and then
-    normalised by a power of x_i.  Failure to peel signals a bug, not bad
-    input, since every valid braid word acts by such conjugations.  Raises
+    The image of each generator under the Artin action is a reduced
+    conjugate y x_i y^-1, so y is its first half, then normalised by a
+    power of x_i.  An image of any other form signals a bug, not bad input,
+    since every valid braid word acts by such conjugations.  Raises
     ScaleError once the words in progress hold more than MAX_LETTERS
     letters in total.
     """
@@ -290,20 +290,13 @@ def longitudes(braid: Braid) -> LongitudeTuple:
     for i in range(1, n + 1):
         budget = MAX_LETTERS - sum(len(y.letters) for y in ys)
         letters = artin_action(braid, Word.gen(n, i), budget).letters
-        lo, hi = 0, len(letters) - 1
-        while lo < hi:
-            g, e = letters[lo]
-            if letters[hi] != (g, -e):
-                raise RuntimeError(
-                    f"Artin image of x_{i} is not visibly a conjugate; "
-                    "this indicates a bug in the action")
-            lo += 1
-            hi -= 1
-        if letters[lo:hi + 1] != ((i, 1),):
-            raise RuntimeError(f"Artin image of x_{i} does not wrap x_{i}")
-        y = Word(n, letters[:lo])  # a prefix of a reduced word is reduced
-        y = y * Word.gen(n, i, -y.exponent_sum(i))
-        ys.append(y)
+        half = letters[:len(letters) // 2]
+        # y^-1 from half's own letter tuples, not one new tuple per letter
+        flip = {(g, e): (g, -e) for g, e in set(half)}
+        if letters != half + ((i, 1),) + tuple(map(flip.get, reversed(half))):
+            raise RuntimeError(f"bug in the Artin action: x_{i} maps to a non-conjugate")
+        y = Word(n, half)  # a prefix of a reduced word is reduced
+        ys.append(y * Word.gen(n, i, -y.exponent_sum(i)))
     return LongitudeTuple(n, tuple(ys))
 
 

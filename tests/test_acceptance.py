@@ -36,7 +36,7 @@ def report(number, text):
 def magnus_degree_oracle(data, k):
     entries = []
     for image in longitude_magnus_images(data, k):
-        component = {w: Fraction(c) for w, c in image.items() if len(w) == k}
+        component = {w: Fraction(c) for w, c in image.coeffs.items() if len(w) == k}
         entries.append(LieElement.from_tensor(TensorSeries(data.n, k, component)))
     return HTensorLie.from_entries(data.n, tuple(entries))
 

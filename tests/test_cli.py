@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringlinks import cli
 from stringlinks.cli import (BraidSyntaxError, EXIT_OK, EXIT_PARSE,
                              EXIT_PRECONDITION, main, parse_braid)
 from stringlinks.words import MAX_LETTERS, Braid, ScaleError, commutator
+
+from support import shared_expansion
 
 
 def run(capsys, *argv):
@@ -111,6 +117,24 @@ def test_oversized_braid_work_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PRECONDITION
     assert f"more than {MAX_LETTERS} letters" in err
+    assert out == "" and "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["morita", "--n", "5", "--k", "2", "--braid", "[A(1,2),[A(1,3),A(2,3)]]"],
+    ["verify", "--n", "3", "--k", "4", "--braid", "[A(1,2),[A(1,3),[A(2,3),A(1,2)]]]"],
+    ["morita", "--n", "3", "--k", "3", "--braid", "[A(1,2),[A(1,3),[A(2,3),A(1,2)]]]"],
+    ["verify", "--n", "3",
+     "--braid", "[A(1,2),[A(1,3),[A(2,3),[A(1,2),A(1,3)]]]]"],
+], ids=["morita-colors", "verify-k", "morita-degree", "verify-level-5"])
+def test_tree_limit_refused_up_front(capsys, argv):
+    # the tree span of d2_composition is beyond the enumeration limits:
+    # refused before any expansion is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert "enumeration supported for n <=" in err
     assert out == "" and "Traceback" not in err
     assert time.perf_counter() - start < 5
 
@@ -409,3 +433,121 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# -- fuzzing the input boundary ------------------------------------------------
+
+TOKENS = ["A(1,2)", "A(1,3)", "A(2,3)", "A(2,1)", "A(1,4)", "A(0,1)", "A(", "A(1,2",
+          "A(a,b)", "^", "^-", "^2", "^-1", "^99999999999", "[", "]", ",", " ", ")",
+          "B(1,2)", "x", "é"]
+
+
+def braid_words(depth=2):
+    """Well-formed braid words: short atoms, small powers, shallow commutators."""
+    atom = st.builds("A({})^{}".format, st.sampled_from(["1,2", "1,3", "2,3"]),
+                     st.integers(-2, 2))
+    if depth:
+        inner = braid_words(depth - 1)
+        atom = atom | st.builds("[{}, {}]".format, inner, inner)
+    return st.lists(atom, max_size=2).map(" ".join)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-3, 5) | st.sampled_from(
+    ["1/2", "x", "", "0", "1/0"])
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.sampled_from(
+                               ["n", "truncation", "words", "images", "word",
+                                "coefficient"]), inner, max_size=4), max_leaves=12)
+
+
+@st.composite
+def longitude_docs(draw, n):
+    letter = st.tuples(st.integers(1, n), st.sampled_from([1, -1])).map(list)
+    words = draw(st.lists(st.lists(letter, max_size=6), min_size=n, max_size=n))
+    if draw(st.booleans()):  # zero exponent sum of x_i in y_i
+        for i, y in enumerate(words, start=1):
+            s = sum(e for g, e in y if g == i)
+            y += [[i, -1 if s > 0 else 1]] * abs(s)
+    doc = {"n": n, "truncation": draw(st.none() | st.integers(1, 3)), "words": words}
+    return doc if draw(st.sampled_from([True, True, False, True])) else draw(JSON_VALUES)
+
+
+@st.composite
+def expansion_docs(draw, n):
+    doc = shared_expansion(n, draw(st.integers(2, 4))).to_json_dict()
+    mutation = draw(st.sampled_from(["none", "coefficient", "key", "truncation"]))
+    if mutation == "coefficient":
+        doc["images"][0][-1]["coefficient"] = draw(JSON_SCALARS)
+    elif mutation == "key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif mutation == "truncation":
+        doc["truncation"] = draw(JSON_SCALARS)
+    return doc if draw(st.sampled_from([True, True, False, True])) else draw(JSON_VALUES)
+
+
+@st.composite
+def cli_argv(draw, directory):
+    # values meant to be rare sit inside the sampled lists: hypothesis
+    # favours the ends of a list
+    command = draw(st.sampled_from(["milnor", "longitudes", "level", "trees",
+                                    "homology", "morita"]))
+    n = draw(st.sampled_from([3, 2, 3, 2, 1, 0, -1, 2, 3, 2, 3]))
+    argv = [command, "--n", str(n)]
+    # files mostly hold the rank asked for
+    rank = draw(st.sampled_from([n, n, n, 1, 2, 3])) if n >= 1 else 2
+    if command == "homology":
+        argv += ["--k", str(draw(st.sampled_from([4, 3, 2] * 2 + [1, 0])))]
+    elif draw(st.booleans()):
+        argv += ["--braid", draw(braid_words() | st.lists(
+            st.sampled_from(TOKENS), max_size=8).map("".join))]
+    else:
+        path = directory / "longitudes.json"
+        path.write_text(json.dumps(draw(longitude_docs(rank))))
+        argv += ["--longitude-file", str(path)]
+    if command == "milnor":
+        mode = draw(st.sampled_from([None, "total", "degree", "truncated"]))
+        trunc = draw(st.sampled_from([None, 0, 1, 2, 3])) if mode == "total" else None
+        # total mode without --trunc builds at 2k + 2
+        k = draw(st.sampled_from([None, 1] if mode == "total" and trunc is None
+                                 else [2, 1, None] * 3 + [0]))
+        argv += ["--mode", mode] if mode else []
+        argv += ["--trunc", str(trunc)] if trunc is not None else []
+        argv += ["--k", str(k)] if k is not None else []
+    elif command == "trees":
+        argv += ["--k", str(draw(st.sampled_from([2, 1] * 3 + [0])))]
+    elif command == "morita":
+        argv += ["--k", "1"]
+    elif command == "level":
+        argv += ["--max-k", str(draw(st.sampled_from([4, 3, 2, 1] * 2 + [0])))]
+    if command in ("milnor", "trees", "morita"):
+        expansion = draw(st.sampled_from(["canonical", "randomized", "file"]))
+        if expansion == "file":
+            path = directory / "theta.json"
+            path.write_text(json.dumps(draw(expansion_docs(rank))))
+            expansion = str(path)
+        argv += ["--expansion", expansion, "--seed", str(draw(st.integers(0, 3)))]
+    argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    return argv + draw(st.sampled_from([[]] * 12 + [["--bogus"], ["--n"], ["7"]]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exit_contract(fuzz_dir, data):
+    # any argv and any input file: a documented exit code, no traceback, and
+    # parseable JSON whenever JSON output succeeds
+    argv = data.draw(cli_argv(fuzz_dir))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "json" in argv:
+        json.loads(out.getvalue())

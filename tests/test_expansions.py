@@ -150,9 +150,7 @@ def test_magnus_integer_matches_series_route():
     for _ in range(10):
         w = Word.of(3, [(rng.randint(1, 3), rng.choice([1, -1]))
                         for _ in range(rng.randint(0, 12))])
-        ints = magnus_integer(3, 5, w.letters)
-        series = theta.evaluate(w)
-        assert series == TensorSeries.from_terms(3, 5, ints.items())
+        assert theta.evaluate(w) == magnus_integer(3, 5, w.letters)
 
 
 def test_dense_evaluation_matches_direct():
@@ -195,6 +193,6 @@ def test_filtration_degree_matches_full_truncation():
             for _ in range(rng.randint(0, 2)):
                 b = commutator(b, random_braid(3, rng.randint(1, 2), rng))
             lowest = min((len(w) for image in braid_magnus_images(b, max_k)
-                          for w in image if w), default=max_k)
+                          for w in image.coeffs if w), default=max_k)
             assert filtration_degree(b, max_k) == lowest
             assert filtration_degree(longitudes(b), max_k) == lowest

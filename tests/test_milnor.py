@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from stringlinks.cli import parse_braid
+from stringlinks.expansions import build_special
 from stringlinks.lie import HTensorLie, LieElement, conjugating_element, conjugator
 from stringlinks.milnor import (FiltrationError, SpecialAutData,
                                 infinitesimal_artin_series, milnor_degree,
-                                special_artin, total_milnor, truncated_milnor)
+                                milnor_window, special_artin, total_milnor,
+                                truncated_milnor)
 from stringlinks.tensor import TensorSeries
-from stringlinks.words import Braid, Word, longitudes
+from stringlinks.words import Braid, LongitudeTuple, Word, longitudes
 
 from support import nested_commutator_corpus, random_braid, seeded, shared_expansion
 
@@ -25,7 +27,7 @@ def magnus_degree_oracle(data, k):
     entries = []
     n = data.n
     for image in longitude_magnus_images(data, k):
-        component = {w: Fraction(c) for w, c in image.items() if len(w) == k}
+        component = {w: Fraction(c) for w, c in image.coeffs.items() if len(w) == k}
         entries.append(LieElement.from_tensor(TensorSeries(n, k, component)))
     return HTensorLie.from_entries(n, tuple(entries))
 
@@ -172,6 +174,32 @@ def test_filtration_errors():
     assert info.value.first_degree == 1
     with pytest.raises(FiltrationError):
         truncated_milnor(Braid.gen(3, 1, 2), theta, 2)
+
+
+def test_milnor_window_is_a_window_of_the_total_invariant():
+    theta = shared_expansion(3, 4)
+    braid = parse_braid("[A(1,2), A(1,3)]", 3)  # level 2, nonzero in degree 2
+    for lo, hi in [(1, 3), (2, 2), (2, 3), (1, 1)]:
+        assert (milnor_window(braid, theta, lo, hi)
+                == total_milnor(braid, theta, hi).degree_range(lo, hi))
+    with pytest.raises(FiltrationError) as info:
+        milnor_window(braid, theta, 3, 3)
+    assert info.value.required == 3 and info.value.first_degree == 2
+
+
+def test_artin_cache_keys_on_the_whole_input():
+    # a fresh expansion, so no earlier test has filled its cache
+    theta = build_special(2, 4)
+    braid = Braid.gen(2, 1, 2)
+    words = longitudes(braid).words
+    exact = special_artin(LongitudeTuple(2, words), theta, max_degree=2)
+    # the same words at another trust level are another input
+    trusted = special_artin(LongitudeTuple(2, words, truncation=2), theta, max_degree=2)
+    assert trusted is not exact and trusted.entries == exact.entries
+    # equal inputs hit the cache
+    assert special_artin(LongitudeTuple(2, words), theta, max_degree=2) is exact
+    assert special_artin(Braid.gen(2, 1, 2), theta, 2) is special_artin(braid, theta, 2)
+    assert special_artin(braid, theta, 2) is not exact
 
 
 def test_truncated_additivity_single_pair():
