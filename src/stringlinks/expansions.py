@@ -211,7 +211,8 @@ class SpecialityReport:
 
     ``witnesses`` holds the canonical group-like conjugators U_i with
     theta(x_i) = U_i exp(X_i) U_i^-1, normalised so log(U_i) has no X_i
-    component; they are only present when the tangential check passed.
+    component; log(U_i) is determined through degree trunc - 1 and its top
+    degree is zero by convention.  Present only if the tangential check passed.
     """
 
     __slots__ = ("is_special", "grouplike", "tangential", "normalized",

@@ -17,13 +17,12 @@ Two computations of the action are implemented:
   witness of theta and Phi is the automorphism being computed.  Phi only
   raises degrees, so the self-reference resolves by iteration: knowing
   the Y through degree D determines Phi on any series through degree D+1
-  and hence the Y through degree D+1.  The iteration starts from Phi = id
-  and is staged by degree: round r works at truncation
-  min(max_degree + 1, r + 1), so the rounds before the full truncation
-  each add one exact degree at the cost of that degree only.  It stops
-  when a round at full truncation returns its own input, normally after
-  max_degree + 1 rounds and never more than max_degree + 2; speciality
-  of the result is asserted, not assumed.
+  and hence the Y through degree D+1.  The iteration starts from Phi = id,
+  and round r forms every series at truncation min(max_degree, r + 1), so
+  each round adds one exact degree at the cost of that degree only.  It
+  stops when a round at truncation max_degree returns its own input,
+  normally after max_degree + 1 rounds; speciality of the result is
+  asserted, not assumed.
 
 * ``infinitesimal_artin_series`` (reference, used by the test suite): the
   composite substitution route through the Magnus coordinatisation of the
@@ -34,7 +33,7 @@ Two computations of the action are implemented:
 from __future__ import annotations
 
 from .expansions import (Expansion, is_special, longitude_magnus_images,
-                         magnus_expansion)
+                         magnus_expansion, magnus_integer)
 from .lie import HTensorLie, LieElement
 from .tensor import Substitution, TensorSeries
 from .words import Braid, LongitudeTuple, Word, longitudes
@@ -129,6 +128,11 @@ def _as_longitudes(data: Braid | LongitudeTuple) -> LongitudeTuple:
         if len(defect) and data.truncation is None:
             raise ValueError("longitude tuple violates the boundary condition "
                              "exactly and carries no truncation level")
+        # Magnus: the defect lies in Gamma_{K+1} iff its image is 1 through degree K
+        if len(defect) and (magnus_integer(data.n, data.truncation, defect.letters)
+                            != TensorSeries.one(data.n, data.truncation)):
+            raise ValueError(f"longitude tuple violates the boundary condition modulo "
+                             f"lower central series term {data.truncation + 1}")
         return data
     raise TypeError(f"expected Braid or LongitudeTuple, got {type(data).__name__}")
 
@@ -137,8 +141,9 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
                   max_degree: int | None = None) -> SpecialAutData:
     """The image of ``data`` under the theta-conjugated Artin representation.
 
-    The conjugating data are exact through ``max_degree``, which needs one
-    degree of headroom in the expansion: max_degree + 1 <= theta.trunc.
+    The conjugating data are exact through ``max_degree``, and every series
+    is formed at that truncation.  Only the witnesses U_i read degree
+    max_degree + 1 of theta, hence the headroom max_degree + 1 <= theta.trunc.
     """
     report = is_special(theta)
     if not report.is_special:
@@ -149,10 +154,9 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
         raise ValueError("strand count does not match the expansion")
     n = theta.n
     max_degree = theta.trunc - 1 if max_degree is None else max_degree
-    trunc = max_degree + 1
-    if trunc > theta.trunc:
+    if max_degree + 1 > theta.trunc:
         raise ValueError(f"degree {max_degree} needs expansion truncation "
-                         f">= {trunc}, have {theta.trunc}")
+                         f">= {max_degree + 1}, have {theta.trunc}")
     if (isinstance(data, LongitudeTuple) and data.truncation is not None
             and max_degree > data.truncation):
         raise ValueError("requested degree exceeds the longitude tuple's "
@@ -162,6 +166,7 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
     if key in theta._artin_cache:
         return theta._artin_cache[key]
 
+    trunc = max(max_degree, 1)  # every series below is needed through max_degree
     witnesses = [u.truncate(trunc) for u in report.witnesses]
     witness_inverses = [u.inverse() for u in witnesses]
     to_theta = theta.magnus_substitution(trunc)

@@ -218,6 +218,25 @@ def test_well_formed_files_failing_preconditions_exit_code(capsys, tmp_path):
     assert "Magnus condition" in err
 
 
+def test_longitude_file_breaking_its_trust_level_exit_code(capsys, tmp_path):
+    # y_1 = x_2^2 puts the boundary defect in the second lower central term
+    # but not the third, which trust level 2 promises: bad input, not a bug
+    path = tmp_path / "longitudes.json"
+    argv = ("milnor", "--n", "2", "--mode", "degree", "--k", "1",
+            "--longitude-file", str(path))
+    path.write_text(json.dumps({"n": 2, "truncation": 2,
+                                "words": [[[2, 1], [2, 1]], []]}))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and "Traceback" not in err
+    assert ("longitude tuple violates the boundary condition modulo lower "
+            "central series term 3") in err
+    # trust level 1 promises only what the words keep
+    path.write_text(json.dumps({"n": 2, "truncation": 1,
+                                "words": [[[2, 1], [2, 1]], []]}))
+    assert run(capsys, *argv)[0] == EXIT_OK
+
+
 def test_directory_input_file_exit_code(capsys, tmp_path):
     for argv in (("milnor", "--n", "3", "--k", "2", "--longitude-file", str(tmp_path)),
                  ("expansion", "check", str(tmp_path))):
@@ -547,7 +566,7 @@ def test_cli_fuzz_exit_contract(fuzz_dir, data):
             code = main(argv)
         except SystemExit as exc:  # argparse refuses the argv
             code = exc.code
-    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code == 0 and "json" in argv:
         json.loads(out.getvalue())

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from stringlinks import milnor
 from stringlinks.cli import parse_braid
-from stringlinks.expansions import build_special
+from stringlinks.expansions import Expansion, build_special
 from stringlinks.lie import HTensorLie, LieElement, conjugating_element, conjugator
 from stringlinks.milnor import (FiltrationError, SpecialAutData,
                                 infinitesimal_artin_series, milnor_degree,
                                 milnor_window, special_artin, total_milnor,
                                 truncated_milnor)
 from stringlinks.tensor import TensorSeries
-from stringlinks.words import Braid, LongitudeTuple, Word, longitudes
+from stringlinks.words import Braid, LongitudeTuple, Word, commutator, longitudes
 
 from support import nested_commutator_corpus, random_braid, seeded, shared_expansion
 
@@ -99,9 +100,17 @@ def test_special_aut_data_normalisation_enforced():
         SpecialAutData(2, 3, (LieElement.generator(2, 1), LieElement.zero(2)))
 
 
+def composite_reference(data, theta, max_degree):
+    """The Y_i through max_degree by the first-principles substitution composite."""
+    return tuple(conjugating_element(LieElement.from_tensor(
+        infinitesimal_artin_series(data, theta, i)), i, max_degree)
+        for i in range(1, data.n + 1))
+
+
 def test_matches_composite_reference():
     # the production fixed-point route against the first-principles
-    # substitution composite, on every strand
+    # substitution composite, on every strand and at every degree bound,
+    # including those below the expansion's exactness horizon
     corpus = nested_commutator_corpus()
     for n, trunc, braids in [
         (2, 5, [Braid.gen(2, 1, 2), Braid.gen(2, 1, 2) ** 2]),
@@ -110,12 +119,53 @@ def test_matches_composite_reference():
     ]:
         theta = shared_expansion(n, trunc)
         for braid in braids:
-            aut = special_artin(braid, theta)
-            for i in range(1, n + 1):
-                omega = infinitesimal_artin_series(braid, theta, i)
-                reference = conjugating_element(
-                    LieElement.from_tensor(omega), i, trunc - 1)
-                assert reference == aut.entries[i - 1]
+            reference = composite_reference(braid, theta, trunc - 1)
+            assert special_artin(braid, theta).entries == reference
+            for max_degree in range(1, trunc - 1):
+                assert special_artin(braid, theta, max_degree).entries == tuple(
+                    y.degree_range(1, max_degree) for y in reference)
+
+
+def test_trusted_tuple_matches_composite_reference():
+    # y_1 times a degree-2 commutator keeps the boundary defect in the third
+    # lower central term, so the tuple is trusted at level 2, and its Y differ
+    # from the braid's in degree 2
+    theta = shared_expansion(3, 5)
+    braid = nested_commutator_corpus()["level2"][0]
+    words = list(longitudes(braid).words)
+    words[0] = words[0] * commutator(Word.gen(3, 2), Word.gen(3, 3))
+    trusted = LongitudeTuple(3, tuple(words), truncation=2)
+    assert special_artin(trusted, theta, 2).entries != special_artin(braid, theta, 2).entries
+    for max_degree in range(3):
+        assert (special_artin(trusted, theta, max_degree).entries
+                == composite_reference(trusted, theta, max_degree))
+
+
+@pytest.mark.parametrize("longitude_tuple", [False, True], ids=["braid", "tuple"])
+def test_series_work_at_the_exactness_horizon(monkeypatch, longitude_tuple):
+    # only the witnesses read degree max_degree + 1 of theta: the Magnus
+    # images and their theta images are formed at truncation max_degree,
+    # and at truncation 1 for max_degree 0
+    theta = build_special(3, 5)  # a fresh expansion: no cached Artin data
+    braid = parse_braid("[A(1,2), A(1,3)]", 3)
+    data = longitudes(braid) if longitude_tuple else braid
+    seen = []
+    images, to_theta = milnor.longitude_magnus_images, Expansion.magnus_substitution
+    monkeypatch.setattr(milnor, "longitude_magnus_images", lambda data, trunc: (
+        seen.append(("images", trunc)) or images(data, trunc)))
+    monkeypatch.setattr(Expansion, "magnus_substitution", lambda self, trunc: (
+        seen.append(("theta", trunc)) or to_theta(self, trunc)))
+    for max_degree, work in ((4, 4), (2, 2), (1, 1), (0, 1)):
+        seen.clear()
+        special_artin(data, theta, max_degree)
+        assert sorted(seen) == [("images", work), ("theta", work)]
+
+
+def test_special_artin_degree_zero():
+    # no degree asked for: zero entries, and still validated
+    aut = special_artin(Braid.gen(2, 1, 2), shared_expansion(2, 4), 0)
+    assert aut.max_degree == 0 and all(y.is_zero() for y in aut.entries)
+    aut.validate()
 
 
 @pytest.mark.parametrize("word, max_degree, digest", [
