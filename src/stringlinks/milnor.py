@@ -120,7 +120,7 @@ class SpecialAutData:
         return HTensorLie.from_entries(self.n, self.entries)
 
 
-def _as_longitudes(data: Braid | LongitudeTuple) -> LongitudeTuple:
+def _as_longitudes(data: Braid | LongitudeTuple, trunc: int) -> LongitudeTuple:
     if isinstance(data, Braid):
         return longitudes(data)
     if isinstance(data, LongitudeTuple):
@@ -128,9 +128,10 @@ def _as_longitudes(data: Braid | LongitudeTuple) -> LongitudeTuple:
         if len(defect) and data.truncation is None:
             raise ValueError("longitude tuple violates the boundary condition "
                              "exactly and carries no truncation level")
-        # Magnus: the defect lies in Gamma_{K+1} iff its image is 1 through degree K
-        if len(defect) and (magnus_integer(data.n, data.truncation, defect.letters)
-                            != TensorSeries.one(data.n, data.truncation)):
+        # Magnus: the defect lies in Gamma_{d+1} iff its image is 1 through degree d
+        d = min(data.truncation or 0, trunc)  # the caller reads no degree above trunc
+        if len(defect) and (magnus_integer(data.n, d, defect.letters)
+                            != TensorSeries.one(data.n, d)):
             raise ValueError(f"longitude tuple violates the boundary condition modulo "
                              f"lower central series term {data.truncation + 1}")
         return data
@@ -148,11 +149,6 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
     report = is_special(theta)
     if not report.is_special:
         raise ValueError(f"expansion is not special: {report.failure}")
-    if not isinstance(data, Braid):
-        data = _as_longitudes(data)  # boundary-condition validation
-    if data.n != theta.n:
-        raise ValueError("strand count does not match the expansion")
-    n = theta.n
     max_degree = theta.trunc - 1 if max_degree is None else max_degree
     if max_degree + 1 > theta.trunc:
         raise ValueError(f"degree {max_degree} needs expansion truncation "
@@ -161,10 +157,14 @@ def special_artin(data: Braid | LongitudeTuple, theta: Expansion,
             and max_degree > data.truncation):
         raise ValueError("requested degree exceeds the longitude tuple's "
                          "trust level")
-
     key = (data, max_degree)  # values hash by n, letters and trust level
-    if key in theta._artin_cache:
+    if key in theta._artin_cache:  # only validated inputs are ever cached
         return theta._artin_cache[key]
+    if not isinstance(data, Braid):  # boundary condition through max_degree + 1
+        data = _as_longitudes(data, max_degree + 1)
+    if data.n != theta.n:
+        raise ValueError("strand count does not match the expansion")
+    n = theta.n
 
     trunc = max(max_degree, 1)  # every series below is needed through max_degree
     witnesses = [u.truncate(trunc) for u in report.witnesses]
@@ -251,7 +251,7 @@ def infinitesimal_artin_series(data: Braid | LongitudeTuple, theta: Expansion,
     T(X_j) = magnus(y_j x_j y_j^-1) - 1.  The composite S o T o S^-1 is
     evaluated on X_i.  Dense and slow; test oracle only.
     """
-    tuple_ = _as_longitudes(data)
+    tuple_ = _as_longitudes(data, theta.trunc)
     n, trunc = theta.n, theta.trunc
     one = TensorSeries.one(n, trunc)
     s_map = Substitution([img - one for img in theta.images])

@@ -218,23 +218,36 @@ def test_well_formed_files_failing_preconditions_exit_code(capsys, tmp_path):
     assert "Magnus condition" in err
 
 
-def test_longitude_file_breaking_its_trust_level_exit_code(capsys, tmp_path):
-    # y_1 = x_2^2 puts the boundary defect in the second lower central term
-    # but not the third, which trust level 2 promises: bad input, not a bug
+# y_1 = x_2^2 puts the boundary defect in the second lower central term but
+# not the third, y_1 = [x_1, x_2] in the third but not the fourth
+SQUARE, COMMUTATOR = [[[2, 1], [2, 1]], []], [[[1, 1], [2, 1], [1, -1], [2, -1]], []]
+
+
+@pytest.mark.parametrize("words, truncation, k, broken", [
+    (SQUARE, 2, 1, 3), (SQUARE, 1, 1, None),
+    # mu_1 reads the defect only through degree 2, mu_2 through degree 3
+    (COMMUTATOR, 3, 1, None), (COMMUTATOR, 3, 2, 4),
+    # the work follows the degree asked for, not the trust level a file claims
+    (SQUARE, 10 ** 6, 1, 10 ** 6 + 1), ([[], []], 10 ** 6, 1, None),
+], ids=["square-2", "square-1", "commutator-3-mu1", "commutator-3-mu2",
+        "square-huge", "trivial-huge"])
+def test_longitude_file_breaking_its_trust_level_exit_code(capsys, tmp_path, words,
+                                                           truncation, k, broken):
+    # a tuple breaking its trust level in a degree the computation reads is
+    # bad input, not a bug; in a degree it does not read, it is harmless
     path = tmp_path / "longitudes.json"
-    argv = ("milnor", "--n", "2", "--mode", "degree", "--k", "1",
-            "--longitude-file", str(path))
-    path.write_text(json.dumps({"n": 2, "truncation": 2,
-                                "words": [[[2, 1], [2, 1]], []]}))
-    code, out, err = run(capsys, *argv)
-    assert code == EXIT_PRECONDITION
-    assert out == "" and "Traceback" not in err
-    assert ("longitude tuple violates the boundary condition modulo lower "
-            "central series term 3") in err
-    # trust level 1 promises only what the words keep
-    path.write_text(json.dumps({"n": 2, "truncation": 1,
-                                "words": [[[2, 1], [2, 1]], []]}))
-    assert run(capsys, *argv)[0] == EXIT_OK
+    path.write_text(json.dumps({"n": 2, "truncation": truncation, "words": words}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "milnor", "--n", "2", "--mode", "degree", "--k", str(k),
+                         "--longitude-file", str(path))
+    assert time.perf_counter() - start < 5
+    if broken is None:
+        assert (code, err) == (EXIT_OK, "")
+    else:
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "Traceback" not in err
+        assert ("longitude tuple violates the boundary condition modulo lower "
+                f"central series term {broken}") in err
 
 
 def test_directory_input_file_exit_code(capsys, tmp_path):
