@@ -8,7 +8,7 @@ from .words import (Braid, LongitudeTuple, ScaleError, Word, artin_action,
                     commutator, longitudes, pure_braid_relations)
 from .tensor import Substitution, TensorSeries
 from .lie import (HTensorLie, LieElement, bch, bracket_map_matrix, conjugating_element,
-                  conjugator, d_dimension, lyndon_words, witt_dim)
+                  d_dimension, lyndon_words, witt_dim)
 from .expansions import (Expansion, SpecialityReport, build_special, exp_expansion,
                          filtration_degree, is_grouplike_expansion, is_special,
                          magnus_expansion)

@@ -19,6 +19,9 @@ H (x) L_m -> L_{m+1} is onto.  The canonical strategy takes the
 minimal-support row-reduced solution of that linear system; the
 randomized strategy adds a seeded random kernel element, yielding a
 genuinely different special expansion for independence tests.
+``is_special`` re-derives each conjugator from theta(x_i) by the
+closed-form sweep of ``lie.conjugating_element``, independent of the
+builder's ``rref`` and bracket matrices.
 
 A word is multiplied out under a generator map by one loop,
 ``_word_image``: short words under theta itself, and long words through
@@ -38,8 +41,8 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .lie import (LieElement, bracket_map_matrix, conjugator, h_tensor_l_basis,
-                  is_grouplike, lyndon_words)
+from .lie import (HTensorLie, LieElement, bracket_map_matrix, conjugating_element,
+                  h_tensor_l_basis, is_grouplike, lyndon_words)
 from .linalg import Q1
 from .tensor import Substitution, TensorSeries, convolve
 from .words import Braid, LongitudeTuple, Word, _generator_images, longitudes
@@ -233,12 +236,13 @@ class SpecialityReport:
 def is_special(theta: Expansion) -> SpecialityReport:
     """Verify the tangential and normalised conditions from first principles.
 
-    Group-likeness is decided by the Lyndon extraction of log theta(x_i)
-    inside ``conjugator``, the same extraction ``build_special`` runs.  Two
-    checks stay independent of ``build_special``: the conjugators are
-    re-derived by the degree-by-degree conjugacy solver, and the boundary
-    identity is checked by direct evaluation.  The report is computed once
-    per expansion.
+    The conjugators are re-derived from each theta(x_i) by
+    ``conjugating_element``, one exactly checked closed-form sweep over the
+    degrees of theta(x_i) U_i = U_i exp(X_i) that shares neither ``rref``
+    nor the bracket matrices with ``build_special``; group-likeness is
+    decided by the Lyndon extraction of log U_i, or of log theta(x_i) when
+    that fails.  The boundary identity is checked by direct evaluation.
+    The report is computed once per expansion.
     """
     if theta._speciality is None:
         theta._speciality = _speciality(theta)
@@ -251,7 +255,7 @@ def _speciality(theta: Expansion) -> SpecialityReport:
     not_tangential = None  # the first failure; later images may not be group-like
     for i, image in enumerate(theta.images, start=1):
         try:
-            witnesses.append(conjugator(image, i).to_tensor(trunc).exp())
+            witnesses.append(conjugating_element(image, i).to_tensor(trunc).exp())
         except ValueError as exc:
             if not is_grouplike(image):
                 return SpecialityReport(False, False, False, False, None,
@@ -330,13 +334,18 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
                     solution = [s + coeff * v for s, v in zip(solution, kernel_vec)]
         # each conjugator takes this degree's factors exp(c w) in domain
         # order, multiplied together first so the dense conjugator is
-        # multiplied once per step
-        corrections = [TensorSeries.one(n, trunc) for _ in range(n)]
-        for (i, w), c in zip(h_tensor_l_basis(n, m), solution):
-            if c:
-                factor = LieElement(n, {w: c}).to_tensor(trunc).exp()
-                corrections[i - 1] = corrections[i - 1] * factor
-        conjugators = [u * f for u, f in zip(conjugators, corrections)]
+        # multiplied once per step; for 2m > trunc the factors' pairwise
+        # products vanish, so their product is the one sum 1 + sum c w
+        one = TensorSeries.one(n, trunc)
+        entries = HTensorLie(n, dict(zip(h_tensor_l_basis(n, m), solution))).entries
+        for i, y in enumerate(entries):
+            if 2 * m > trunc:
+                correction = one + y.to_tensor(trunc)
+            else:
+                correction = one
+                for w, c in y.coeffs.items():
+                    correction = correction * LieElement(n, {w: c}).to_tensor(trunc).exp()
+            conjugators[i] = conjugators[i] * correction
 
     theta = Expansion(n, trunc, current_images(trunc))
     report = is_special(theta)

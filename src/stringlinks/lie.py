@@ -15,19 +15,22 @@ the input was not a Lie element.
 This extraction is the library's only test of Lie-ness and, through
 Friedrichs' criterion (over Q, a series with constant term 1 is
 group-like exactly when its log is a Lie series), of group-likeness:
-``is_primitive``, ``is_grouplike``, ``bch`` and ``conjugator`` all
-decide through it.
+``is_primitive``, ``is_grouplike``, ``bch`` and ``conjugating_element``
+all decide through it.
+
+``conjugating_element`` solves conjugacy to exp(X_i) with no elimination:
+one closed-form sweep over the degrees of the associative conjugator.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import math
 from fractions import Fraction
 
-from . import linalg
 from .linalg import Q1, Combination, add_to
-from .tensor import TensorSeries, Wd, decode
+from .tensor import TensorSeries, Wd, convolve, decode
 
 
 # -- Lyndon words ------------------------------------------------------------
@@ -323,18 +326,12 @@ class HTensorLie(Combination):
                          for (i, w), c in self.sorted_terms()) or "0"
 
 
-def bracket_block(n: int, d: int, i: int) -> list[list[Fraction]]:
-    """Columns of u |-> [X_i, u] on L_d, over the Lyndon words of degree d + 1."""
-    codomain = lyndon_words(n, d + 1)
-    x_i = LieElement.generator(n, i)
-    return [x_i.bracket(LieElement(n, {w: Q1})).vector(codomain)
-            for w in lyndon_words(n, d)]
-
-
 def bracket_map_matrix(n: int, d: int) -> list[list[Fraction]]:
-    """Columns of H (x) L_d -> L_{d+1}: the ``bracket_block`` of each i in turn,
-    so column (i, w), in ``h_tensor_l_basis`` order, is [X_i, w]."""
-    return [col for i in range(1, n + 1) for col in bracket_block(n, d, i)]
+    """Columns of H (x) L_d -> L_{d+1}: column (i, w), in ``h_tensor_l_basis``
+    order, is [X_i, w] over the Lyndon words of degree d + 1."""
+    codomain = lyndon_words(n, d + 1)
+    return [LieElement.generator(n, i).bracket(LieElement(n, {w: Q1})).vector(codomain)
+            for i, w in h_tensor_l_basis(n, d)]
 
 
 def d_dimension(n: int, d: int) -> int:
@@ -342,59 +339,64 @@ def d_dimension(n: int, d: int) -> int:
     return n * witt_dim(n, d) - witt_dim(n, d + 1)
 
 
-def conjugating_element(target: LieElement, i: int, max_degree: int) -> LieElement:
-    """The normalised Y with exp(ad Y)(X_i) = target through degree max_degree + 1.
-
-    Y is supported in degrees 1..max_degree.  Solved degree by degree: the
-    degree d+1 component of the equation is an inhomogeneous linear system
-    for the degree-d part of Y, whose kernel is spanned by X_i in degree 1
-    (killed by the normalisation: the X_i coordinate of Y is 0) and trivial
-    in higher degrees.  Raises ValueError when some degree is inconsistent,
-    i.e. the target is not a conjugate of X_i.
-    """
-    n = target.n
-    if target.degree_component(1) != LieElement.generator(n, i):
-        raise ValueError(f"target is not conjugate to X{i}: degree-1 part differs")
-    y = LieElement.zero(n)
-    for d in range(1, max_degree + 1):
-        current = _exp_ad(y, i, d + 1)
-        residue = (target - current).degree_component(d + 1)
-        # [u, X_i] = -[X_i, u]: solve [X_i, u] = -residue for u of degree d
-        sol = linalg.solve(bracket_block(n, d, i),
-                           (-residue).vector(lyndon_words(n, d + 1)))
-        if sol is None:
-            raise ValueError(f"target is not conjugate to X{i}: "
-                             f"obstruction in degree {d + 1}")
-        update = dict(zip(lyndon_words(n, d), sol))
-        if d == 1:
-            update.pop((i,), None)  # normalisation: no X_i component
-        y = y + LieElement(n, update)
-    return y
-
-
-def conjugator(series: TensorSeries, i: int) -> LieElement:
+def conjugating_element(series: TensorSeries, i: int) -> LieElement:
     """The normalised Y with exp(Y) exp(X_i) exp(-Y) = series through trunc.
 
-    The input must be group-like and conjugate to exp(X_i); the result is
-    unique once the X_i coordinate of Y is pinned to zero.  Determined
-    through degree trunc - 1 (the top-degree component of Y would need one
-    degree beyond the truncation).  A series that is not group-like fails
-    the Lyndon extraction of its log, which raises ValueError.
+    Solved for U = exp(Y) in one sweep with no elimination: with V = series
+    and E = exp(X_i), degree d + 1 of V U = U E reads [X_i, U_d] = r_d,
+    r_d = sum_{a >= 2} (U_{d+1-a} E_a - V_a U_{d+1-a}).  The centralizer of
+    X_i in the free associative algebra is K[X_i] (Bergman, Trans. AMS 137,
+    1969), so U_d is unique without an X_i^d term, and telescoping gives
+    U_d(a X_i^k) = sum_{j=1}^{k+1} r_d(X_i^j a X_i^{k+1-j}) for a nonempty
+    word a not ending in X_i; each degree is then checked exactly.  Y = log U
+    is read by the Lyndon extraction, which fails unless U is group-like.  Y
+    is determined through degree trunc - 1.  Raises ValueError unless the
+    series is a group-like conjugate of exp(X_i).
     """
-    target = LieElement.from_tensor(series.log())
-    return conjugating_element(target, i, series.trunc - 1)
-
-
-def _exp_ad(y: LieElement, i: int, trunc: int) -> LieElement:
-    """exp(ad y)(X_i) through degree trunc."""
-    n = y.n
-    out = LieElement.generator(n, i)
-    term = out
-    fact = 1
-    for m in range(1, trunc):
-        term = y.bracket(term, trunc)
-        if term.is_zero():
-            break
-        fact *= m
-        out = out + term.scale(Fraction(1, fact))
-    return out
+    n, trunc = series.n, series.trunc
+    den, nums = series._integral()
+    x = i - 1  # the code of X_i
+    if nums.get(0) != {0: den} or nums.get(1) != {x: den}:
+        raise ValueError(f"target is not conjugate to X{i}: degree-1 part differs")
+    powers = [x * (n ** a - 1) // max(n - 1, 1) for a in range(trunc + 1)]  # X_i^a
+    u = [(1, {0: 1})]  # U_b as (denominator, integer numerators by word code)
+    for d in range(1, trunc):
+        lead = n ** (d - 1)  # the place value of the first letter of a degree-d word
+        lcm = math.lcm(*(u_den * math.lcm(den, math.factorial(d + 1 - b))
+                         for b, (u_den, _) in enumerate(u)))
+        acc: dict = {}
+        for b, (u_den, ub) in enumerate(u):
+            a = d + 1 - b
+            convolve({b: ub}, {a: {powers[a]: lcm // (u_den * math.factorial(a))}},
+                     n, trunc, acc)
+            scale = -(lcm // (u_den * den))
+            convolve({a: nums.get(a, {})}, {b: {w: scale * c for w, c in ub.items()}},
+                     n, trunc, acc)
+        r = acc.get(d + 1, {})
+        # a word X_i^J c X_i^M of r_d (c nonempty) feeds the J words
+        # X_i^p c X_i^(J+M-1-p), p < J: drop one X_i in front, then turn them over
+        sol: dict = {}
+        for v, c in r.items():
+            w = v - x * lead * n
+            if v == powers[d + 1] or not 0 <= w < lead * n:
+                continue
+            add_to(sol, w, c)
+            while w // lead == x:
+                w = (w - x * lead) * n + x
+                add_to(sol, w, c)
+        bracket = convolve({1: {x: 1}}, {d: sol}, n, trunc)  # [X_i, U_d]
+        convolve({d: sol}, {1: {x: -1}}, n, trunc, bracket)
+        if bracket.get(d + 1, {}) != r:
+            raise ValueError(f"target is not conjugate to X{i}: "
+                             f"obstruction in degree {d + 1}")
+        g = math.gcd(lcm, *sol.values())
+        u.append((lcm // g, {w: c // g for w, c in sol.items()}))
+    common = math.lcm(*(u_den for u_den, _ in u))
+    buckets = {b: {w: c * (common // u_den) for w, c in ub.items()}
+               for b, (u_den, ub) in enumerate(u) if ub}
+    try:
+        return LieElement.from_tensor(
+            TensorSeries._over(n, max(trunc - 1, 1), common, buckets).log())
+    except ValueError as exc:
+        raise ValueError(f"target is not conjugate to X{i}: "
+                         "the conjugator is not group-like") from exc

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 Q0 = Fraction(0)
@@ -67,12 +68,15 @@ class Combination:
             coeffs = {k: c for k, c in coeffs.items() if c}
         self.coeffs = {} if coeffs is None else coeffs
 
+    def __init_subclass__(cls):
+        if "_space" not in vars(cls):  # read by a getter formed once per class
+            get = operator.attrgetter(*cls.__slots__)
+            cls._space = ((lambda self: (get(self),)) if len(cls.__slots__) == 1
+                          else lambda self: get(self))
+
     @classmethod
     def zero(cls, *space):
         return cls(*space)
-
-    def _space(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
 
     def _new(self, coeffs: dict):
         return type(self)(*self._space(), coeffs)

@@ -48,10 +48,11 @@ class ScaleError(ValueError):
 class Value:
     """An immutable value compared and hashed by its slots.
 
-    Instances of different classes never compare equal.
+    Instances of different classes never compare equal.  The hash is kept
+    once formed: a cache lookup on a long word would rehash every letter.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -62,7 +63,9 @@ class Value:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        if not hasattr(self, "_hash"):
+            self._hash = hash(self._key())
+        return self._hash
 
 
 def _reduce(letters) -> tuple[Letter, ...]:

@@ -8,7 +8,11 @@ from __future__ import annotations
 import functools
 import random
 
+from fractions import Fraction
+
 from stringlinks import Braid, build_special, filtration_degree
+from stringlinks.lie import LieElement, bracket_map_matrix, lyndon_words
+from stringlinks.linalg import solve
 from stringlinks.tensor import Q0, TensorSeries
 from stringlinks.words import commutator
 
@@ -216,3 +220,47 @@ def column_rank(columns):
         return 0
     return len(rref_reference([[col[r] for col in columns]
                                for r in range(len(columns[0]))])[1])
+
+
+def exp_ad(y, i, trunc):
+    """exp(ad y)(X_i) through degree trunc, by Lie brackets."""
+    n = y.n
+    out = LieElement.generator(n, i)
+    term = out
+    fact = 1
+    for m in range(1, trunc):
+        term = y.bracket(term, trunc)
+        if term.is_zero():
+            break
+        fact *= m
+        out = out + term.scale(Fraction(1, fact))
+    return out
+
+
+def conjugating_element_reference(target, i, max_degree):
+    """The normalised Y with exp(ad Y)(X_i) = target through degree max_degree + 1.
+
+    An oracle for ``lie.conjugating_element`` by elimination in the Lie
+    algebra: the degree-(d+1) component of the equation is the linear
+    system [X_i, u] = -residue for the degree-d part u of Y, solved on the
+    columns (i, w) of ``bracket_map_matrix``; its kernel is X_i in degree 1
+    (dropped by the normalisation) and trivial above.  Raises ValueError,
+    with the library's messages, when some degree is inconsistent.
+    """
+    n = target.n
+    if target.degree_component(1) != LieElement.generator(n, i):
+        raise ValueError(f"target is not conjugate to X{i}: degree-1 part differs")
+    y = LieElement.zero(n)
+    for d in range(1, max_degree + 1):
+        residue = (target - exp_ad(y, i, d + 1)).degree_component(d + 1)
+        width = len(lyndon_words(n, d))
+        sol = solve(bracket_map_matrix(n, d)[(i - 1) * width:i * width],
+                    (-residue).vector(lyndon_words(n, d + 1)))
+        if sol is None:
+            raise ValueError(f"target is not conjugate to X{i}: "
+                             f"obstruction in degree {d + 1}")
+        update = dict(zip(lyndon_words(n, d), sol))
+        if d == 1:
+            update.pop((i,), None)  # normalisation: no X_i component
+        y = y + LieElement(n, update)
+    return y

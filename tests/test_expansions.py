@@ -9,11 +9,13 @@ from stringlinks.expansions import (Expansion, braid_magnus_images, build_specia
                                     exp_expansion, filtration_degree,
                                     is_grouplike_expansion, is_special,
                                     magnus_expansion, magnus_integer)
-from stringlinks.lie import LieElement
+from stringlinks import expansions, lie, linalg
+from stringlinks.lie import LieElement, lyndon_words
 from stringlinks.tensor import TensorSeries
 from stringlinks.words import Braid, Word, commutator, longitudes
 
-from support import is_grouplike_by_coproduct, random_braid, seeded, shared_expansion
+from support import (conjugating_element_reference, is_grouplike_by_coproduct,
+                     random_braid, seeded, shared_expansion)
 
 
 def test_magnus_images():
@@ -111,6 +113,113 @@ def test_build_special_pinned_output():
     doc = json.dumps(shared_expansion(3, 6).to_json_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "da7a41aaedcb2d4f941911af144b6fcdf1435cbe0dac94769f60e826364632c4")
+
+
+@pytest.mark.parametrize("n,trunc,seed,digest", [
+    (2, 7, 1, "1f7f2f0308e478fe81614f8f5774c356545185f6163f7ee068738415b511664e"),
+    (2, 7, 2, "7535e36c595cb6ab7b35e21816b119b21764c1baeaa5dba7913667d1dc52e7b5"),
+    (2, 7, 3, "77375fde3de3dda847575e82fdf61be52c604b0a006962f01f15b2d0fc038f5e"),
+    (3, 5, 1, "8d53c0e0c6a6bc24e15ae2dcb7b4a37fb8ec039f3d3cf2be9554506646f4bfdd"),
+    (3, 5, 2, "8304cb47d0a38afac5f0b5001c9cd7a52200993278a538a6098e22a682293ecd"),
+    (3, 5, 3, "3c945d15357c1bf60bf7d231e1c2793be72da0251a0390e648d2717955da8818"),
+    (4, 4, 2, "c108928cd3c9f8ff3fcf06806748ca1d72c07f6079421d70078dd87a85ad5402"),
+])
+def test_randomized_build_pinned_output(n, trunc, seed, digest):
+    # sha256 of randomized expansions' JSON, recorded from the builder that
+    # multiplied out every correction factor: random kernel vectors give
+    # corrections in every degree, the high ones (2m > trunc) included
+    theta = build_special(n, trunc, strategy="randomized", seed=seed)
+    doc = json.dumps(theta.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def speciality_reference(theta):
+    """The speciality report's fields, with each conjugator found by
+    elimination (``conjugating_element_reference``) and group-likeness
+    decided by the coproduct."""
+    n, trunc = theta.n, theta.trunc
+    witnesses = []
+    not_tangential = None
+    for i, image in enumerate(theta.images, start=1):
+        if not is_grouplike_by_coproduct(image):
+            return (False, False, False, False, None, f"theta(x_{i}) is not group-like", None)
+        try:
+            y = conjugating_element_reference(
+                LieElement.from_tensor(image.log()), i, trunc - 1)
+            witnesses.append(y.to_tensor(trunc).exp())
+        except ValueError as exc:
+            not_tangential = not_tangential or f"theta(x_{i}) not tangential: {exc}"
+    if not_tangential:
+        return (False, True, False, False, None, not_tangential, None)
+    target = TensorSeries(n, trunc, {(i,): Fraction(1) for i in range(1, n + 1)})
+    defect = theta.boundary_image() - target.exp()
+    if not defect.is_zero():
+        return (False, True, True, False, tuple(witnesses), "normalised condition fails",
+                defect.min_degree())
+    return (True, True, True, True, tuple(witnesses), None, None)
+
+
+def perturbations(theta, rng):
+    """Expansions that differ from theta in one image and one degree 2..trunc:
+    by a Lie factor exp(c w), by a word, and by a pair c (w - w') with w'
+    the rotation of w, which cancels in the abelianisation."""
+    n, trunc = theta.n, theta.trunc
+    for i in range(1, n + 1):
+        for d in range(2, trunc + 1):
+            c = rng.choice([-2, -1, 1, 2])
+            lie_word = rng.choice(lyndon_words(n, d))
+            word = tuple(rng.randint(1, n) for _ in range(d))
+            while n > 1 and len(set(word)) == 1:
+                word = tuple(rng.randint(1, n) for _ in range(d))
+            image = theta.images[i - 1]
+            for changed in (
+                    image * LieElement(n, {lie_word: Fraction(c)}).to_tensor(trunc).exp(),
+                    image + TensorSeries.from_terms(n, trunc, [(word, c)]),
+                    image + TensorSeries.from_terms(n, trunc, [(word, c),
+                                                               (word[1:] + word[:1], -c)])):
+                images = list(theta.images)
+                images[i - 1] = changed
+                yield Expansion(n, trunc, tuple(images))
+
+
+def test_speciality_reports_match_reference_on_perturbations():
+    rng = seeded(19)
+    seen = set()
+    for n, trunc in [(2, 4), (3, 4), (2, 5)]:
+        for theta in perturbations(shared_expansion(n, trunc), rng):
+            report = is_special(theta)
+            fields = (report.is_special, report.grouplike, report.tangential,
+                      report.normalized, report.witnesses, report.failure,
+                      report.failure_degree)
+            assert fields == speciality_reference(theta)
+            seen.add((report.grouplike, report.tangential, report.normalized))
+    # every verdict short of special is reached
+    assert seen >= {(False, False, False), (True, False, False), (True, True, False)}
+
+
+def test_speciality_check_runs_no_elimination(monkeypatch):
+    theta = build_special(3, 5)
+    fresh = Expansion(3, 5, theta.images)  # no report cached yet
+    calls = {"solve": 0, "rref": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    solved = []
+    solver = lie.conjugating_element
+
+    def spy(series, i):
+        solved.append(i)
+        return solver(series, i)
+    # rebind every name the solver is called by, as a tracer would
+    monkeypatch.setattr(lie, "conjugating_element", spy)
+    monkeypatch.setattr(expansions, "conjugating_element", spy)
+    assert is_special(fresh).is_special
+    assert calls == {"solve": 0, "rref": 0}
+    assert solved == [1, 2, 3]
 
 
 def test_build_special_n1():

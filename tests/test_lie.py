@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from stringlinks.lie import (HTensorLie, LieElement, bch, bracket_map_matrix,
                              bracketing_str, conjugating_element, d_dimension,
                              is_grouplike, is_lyndon, is_primitive, lyndon_words,
-                             witt_dim, _exp_ad)
+                             witt_dim)
 from stringlinks.tensor import TensorSeries
 
-from support import (column_rank, is_grouplike_by_coproduct, is_primitive_by_coproduct,
-                     seeded)
+from support import (column_rank, conjugating_element_reference, exp_ad,
+                     is_grouplike_by_coproduct, is_primitive_by_coproduct, seeded)
 
 
 def random_lie(n, degrees, rng, density=0.4, max_coeff=3):
@@ -179,20 +179,66 @@ def test_conjugating_element_round_trip():
         for _ in range(6):
             y = random_lie(n, [1, 2, 3], rng)
             y = y - LieElement(n, {(i,): y.coefficient((i,))})  # normalise
-            target = _exp_ad(y, i, 5)
-            recovered = conjugating_element(target, i, 4)
+            target = exp_ad(y, i, 5)
+            recovered = conjugating_element(target.to_tensor(5).exp(), i)
             assert recovered == y
+
+
+def solver_outcome(solve):
+    """The solver's result, or the message of the ValueError it raised."""
+    try:
+        return solve()
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_conjugating_element_rejects_non_conjugates():
     n = 2
-    with pytest.raises(ValueError):
-        conjugating_element(LieElement.generator(n, 2), 1, 3)
     # ad(-, X_1) on degree 2 only reaches multiples of [X1,[X1,X2]], so a
     # degree-3 component along [[X1,X2],X2] is an obstruction
-    with pytest.raises(ValueError):
-        conjugating_element(
-            LieElement.generator(n, 1) + LieElement(n, {(1, 2, 2): Fraction(1)}), 1, 3)
+    for target, reason in [
+            (LieElement.generator(n, 2), "degree-1 part differs"),
+            (LieElement.generator(n, 1) + LieElement(n, {(1, 2, 2): Fraction(1)}),
+             "obstruction in degree 3")]:
+        expected = f"target is not conjugate to X1: {reason}"
+        assert solver_outcome(lambda: conjugating_element(
+            target.to_tensor(4).exp(), 1)) == expected
+        assert solver_outcome(lambda: conjugating_element_reference(
+            target, 1, 3)) == expected
+
+
+def test_conjugating_element_rejects_series_that_are_not_grouplike():
+    # 1 + X_1 is no conjugate of exp(X_1): its degree-2 equation fails
+    with pytest.raises(ValueError, match="obstruction in degree 2"):
+        conjugating_element(TensorSeries.one(2, 3) + TensorSeries.generator(2, 3, 1), 1)
+    # a non-group-like U conjugates exp(X_1) to a series that passes every
+    # degree, and the Lyndon extraction of log U refuses it
+    u = TensorSeries.one(2, 4) + TensorSeries.from_terms(2, 4, [((2, 2), 1)])
+    series = u * TensorSeries.generator(2, 4, 1).exp() * u.inverse()
+    with pytest.raises(ValueError, match="the conjugator is not group-like"):
+        conjugating_element(series, 1)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=1, max_value=5))
+@settings(max_examples=30, deadline=None)
+def test_conjugating_element_matches_reference(seed, n, max_degree):
+    # the closed-form sweep against elimination in the Lie algebra, on a
+    # random normalised Y and on the same target moved by a Lie element of
+    # one degree, which is a conjugate of X_i or an obstruction there
+    rng = seeded(seed)
+    i = rng.randint(1, n)
+    trunc = max_degree + 1
+    y = LieElement.zero(n)
+    for d in range(1, max_degree + 1):  # about three terms per degree
+        y = y + random_lie(n, [d], rng, density=min(0.5, 3 / witt_dim(n, d)))
+    y = y - LieElement(n, {(i,): y.coefficient((i,))})
+    target = exp_ad(y, i, trunc)
+    assert conjugating_element(target.to_tensor(trunc).exp(), i) == y
+    assert conjugating_element_reference(target, i, max_degree) == y
+    moved = target + random_lie(n, [rng.randint(2, trunc)], rng, density=0.5)
+    assert solver_outcome(lambda: conjugating_element(moved.to_tensor(trunc).exp(), i)) \
+        == solver_outcome(lambda: conjugating_element_reference(moved, i, max_degree))
 
 
 def test_rendering():

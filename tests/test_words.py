@@ -191,3 +191,22 @@ def test_longitude_tuple_truncation_below_one_raises(truncation):
     with pytest.raises(ValueError, match="truncation"):
         LongitudeTuple(2, words, truncation)
     assert LongitudeTuple(2, words, 1).truncation == 1
+
+
+def test_value_hash_is_kept(monkeypatch):
+    braid = Braid.gen(3, 1, 2) * Braid.gen(3, 2, 3).inverse()
+    data = longitudes(braid)
+    first = hash(data)
+    keys = []
+    original = LongitudeTuple._key
+
+    def spy(self):
+        keys.append(id(self))
+        return original(self)
+    monkeypatch.setattr(LongitudeTuple, "_key", spy)
+    assert hash(data) == first
+    assert keys == []
+    # an equal value built afresh forms its key for its first hash only
+    again = LongitudeTuple(data.n, data.words, data.truncation)
+    assert hash(again) == first and hash(again) == first
+    assert keys == [id(again)]
