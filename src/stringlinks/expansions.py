@@ -264,12 +264,12 @@ def _speciality(theta: Expansion) -> SpecialityReport:
     if not_tangential:
         return SpecialityReport(False, True, False, False, None, failure=not_tangential)
 
-    target = TensorSeries(n, trunc, {(i,): Q1 for i in range(1, n + 1)})
-    defect = theta.boundary_image() - target.exp()
-    if not defect.is_zero():
+    target = TensorSeries(n, trunc, {(i,): Q1 for i in range(1, n + 1)}).exp()
+    boundary = theta.boundary_image()
+    if boundary._integral() != target._integral():  # equal exactly when equal forms
         return SpecialityReport(False, True, True, False, tuple(witnesses),
                                 failure="normalised condition fails",
-                                failure_degree=defect.min_degree())
+                                failure_degree=(boundary - target).min_degree())
     return SpecialityReport(True, True, True, True, tuple(witnesses))
 
 

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .linalg import Q1, Combination, add_to
-from .tensor import TensorSeries, Wd, convolve, decode
+from .tensor import TensorSeries, Wd, convolve, decode, encode
 
 
 # -- Lyndon words ------------------------------------------------------------
@@ -238,13 +238,13 @@ class LieElement(Combination):
         return LieElement(self.n, out)
 
     def to_tensor(self, trunc: int) -> TensorSeries:
-        out: dict[Wd, Fraction] = {}
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        out: dict = {}
         for w, c in self.coeffs.items():
-            if len(w) > trunc:
-                continue
-            for word, cw in _lyndon_tensor(w).items():
-                add_to(out, word, c * cw)
-        return TensorSeries(self.n, trunc, out)
+            if len(w) <= trunc:  # integer numerators over den, by word code
+                convolve({0: {0: c.numerator * (den // c.denominator)}},
+                         encode(_lyndon_tensor(w), self.n), self.n, trunc, out)
+        return TensorSeries._over(self.n, trunc, den, out)
 
     def __str__(self) -> str:
         if not self.coeffs:
