@@ -266,7 +266,7 @@ def _speciality(theta: Expansion) -> SpecialityReport:
 
     target = TensorSeries(n, trunc, {(i,): Q1 for i in range(1, n + 1)}).exp()
     boundary = theta.boundary_image()
-    if boundary._integral() != target._integral():  # equal exactly when equal forms
+    if boundary._integral() != target._integral():  # reduced forms are canonical
         return SpecialityReport(False, True, True, False, tuple(witnesses),
                                 failure="normalised condition fails",
                                 failure_degree=(boundary - target).min_degree())
