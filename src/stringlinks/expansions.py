@@ -334,12 +334,13 @@ def build_special(n: int, trunc: int, strategy: str = "canonical",
                     solution = [s + coeff * v for s, v in zip(solution, kernel_vec)]
         # each conjugator takes this degree's factors exp(c w) in domain
         # order, multiplied together first so the dense conjugator is
-        # multiplied once per step; for 2m > trunc the factors' pairwise
-        # products vanish, so their product is the one sum 1 + sum c w
+        # multiplied once per step; for 2m >= trunc their product is the one
+        # sum 1 + sum c w up to a part D of degree trunc (none for 2m > trunc),
+        # and no image sees D: (u + D) E (u^-1 - D) = u E u^-1 at truncation trunc
         one = TensorSeries.one(n, trunc)
         entries = HTensorLie(n, dict(zip(h_tensor_l_basis(n, m), solution))).entries
         for i, y in enumerate(entries):
-            if 2 * m > trunc:
+            if 2 * m >= trunc:
                 correction = one + y.to_tensor(trunc)
             else:
                 correction = one

@@ -23,7 +23,7 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .lie import LieElement, lyndon_words
+from .lie import LieElement, _basis_bracket, lyndon_words
 from .linalg import Q0, Q1, Combination, add_to
 
 IndexTuple = tuple[int, ...]
@@ -43,7 +43,6 @@ class NilpotentBasis:
         self.words = tuple(words)
         self.index = {w: k for k, w in enumerate(self.words)}
         self.degrees = tuple(len(w) for w in self.words)
-        self._bracket_cache: dict[tuple[int, int], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.words)
@@ -55,9 +54,6 @@ class NilpotentBasis:
     def __hash__(self):
         return hash((self.n, self.degree_cap))
 
-    def element(self, k: int) -> LieElement:
-        return LieElement(self.n, {self.words[k]: Q1})
-
     def reduce_lie(self, x: LieElement) -> dict[int, Fraction]:
         """Coordinates of the image of x in the quotient (higher degrees die)."""
         out = {}
@@ -67,17 +63,12 @@ class NilpotentBasis:
         return out
 
     def bracket_entry(self, a: int, b: int) -> tuple:
-        """Basis coordinates of [e_a, e_b] in the quotient, as (index, coeff) pairs."""
-        key = (a, b)
-        cached = self._bracket_cache.get(key)
-        if cached is None:
-            if self.degrees[a] + self.degrees[b] > self.degree_cap:
-                cached = ()
-            else:
-                br = self.element(a).bracket(self.element(b))
-                cached = tuple(sorted(self.reduce_lie(br).items()))
-            self._bracket_cache[key] = cached
-        return cached
+        """Basis coordinates of [e_a, e_b] in the quotient, as (index, coeff)
+        pairs in index order: the Lyndon structure constants, reindexed."""
+        if self.degrees[a] + self.degrees[b] > self.degree_cap:
+            return ()
+        return tuple((self.index[w], c) for w, c in
+                     _basis_bracket(self.n, self.words[a], self.words[b]))
 
 
 @functools.lru_cache(maxsize=None)

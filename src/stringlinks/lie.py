@@ -7,10 +7,13 @@ factorisation (v the lexicographically smallest proper suffix).
 
 The tensor expansion of beta(w) is triangular: it equals w plus a
 combination of lexicographically larger words of the same length, with
-coefficient 1 on w itself.  ``LieElement.from_tensor`` exploits this to
-convert any primitive series back to Lyndon coordinates by repeatedly
-stripping the smallest remaining word; a non-Lyndon minimal word proves
-the input was not a Lie element.
+coefficient 1 on w itself.  Each is one degree bucket of integer word
+codes, the format of ``tensor``, built as ab - ba by ``convolve``.
+``LieElement.from_tensor`` exploits this to convert any primitive series
+back to Lyndon coordinates by repeatedly stripping the smallest remaining
+code; a non-Lyndon minimal word proves the input was not a Lie element.
+The same extraction forms the one table of structure constants
+(``_basis_bracket``), read by ``LieElement.bracket`` and the Koszul boundary.
 
 This extraction is the library's only test of Lie-ness and, through
 Friedrichs' criterion (over Q, a series with constant term 1 is
@@ -30,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .linalg import Q1, Combination, add_to
-from .tensor import TensorSeries, Wd, convolve, decode, encode
+from .tensor import TensorSeries, Wd, _words, convolve
 
 
 # -- Lyndon words ------------------------------------------------------------
@@ -104,69 +107,73 @@ def bracketing_str(w: Wd) -> str:
 
 # -- homogeneous tensor expansions of basis elements -------------------------
 
-def _commutator(a: dict[Wd, int], b: dict[Wd, int]) -> dict[Wd, int]:
-    """Tensor coefficients of ab - ba for integer tensors a and b."""
-    out: dict[Wd, int] = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            c = ca * cb
-            add_to(out, wa + wb, c)
-            add_to(out, wb + wa, -c)
-    return out
+@functools.lru_cache(maxsize=None)
+def _lyndon_codes(n: int, d: int) -> dict[int, Wd]:
+    """The Lyndon words of length d by word code (base n, letter g as digit g - 1)."""
+    return {functools.reduce(lambda code, g: code * n + g - 1, w, 0): w
+            for w in lyndon_words(n, d)}
+
+
+def _commutator(n: int, u: Wd, v: Wd) -> dict:
+    """The degree buckets of [beta(u), beta(v)] = ab - ba, by word code."""
+    a, b = {len(u): _lyndon_tensor(n, u)}, {len(v): _lyndon_tensor(n, v)}
+    d = len(u) + len(v)
+    return convolve({len(v): {w: -c for w, c in b[len(v)].items()}}, a, n, d,
+                    convolve(a, b, n, d))
 
 
 @functools.lru_cache(maxsize=None)
-def _lyndon_tensor(w: Wd) -> dict[Wd, int]:
-    """Tensor coefficients of the standard bracketing of a Lyndon word.
+def _lyndon_tensor(n: int, w: Wd) -> dict[int, int]:
+    """The degree-len(w) bucket of the standard bracketing of a Lyndon word.
 
-    These are always integers, and all the basis-level machinery here
-    stays in exact integer arithmetic; rationals only enter through
-    element coordinates.
+    Its coefficients are integers: all the basis-level machinery here is
+    exact integer arithmetic, and rationals enter only through coordinates.
     """
     if len(w) == 1:
-        return {w: 1}
-    u, v = standard_factorization(w)
-    return _commutator(_lyndon_tensor(u), _lyndon_tensor(v))
+        return {w[0] - 1: 1}
+    return _commutator(n, *standard_factorization(w))[len(w)]
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_bracket(wa: Wd, wb: Wd) -> tuple[tuple[Wd, int], ...]:
-    """Lyndon coordinates of [beta(wa), beta(wb)]; integer by triangularity."""
-    if wa == wb:
-        return ()
-    bracket = _commutator(_lyndon_tensor(wa), _lyndon_tensor(wb))
-    return tuple(_extract_lyndon(bracket).items())
+def _basis_bracket(n: int, wa: Wd, wb: Wd) -> tuple[tuple[Wd, int], ...]:
+    """Lyndon coordinates of [beta(wa), beta(wb)], in basis order; integer by
+    triangularity.  The one table of the structure constants."""
+    return tuple(_extract_lyndon(n, _commutator(n, wa, wb)).items())
 
 
-def _extract_lyndon(tensor: dict) -> dict:
+def _extract_lyndon(n: int, buckets: dict) -> dict:
     """Triangular extraction of Lyndon coordinates from a Lie tensor.
 
-    Works over any exact coefficient domain (int or Fraction): the
-    triangular system is unipotent, so no division ever happens.  Words
-    leave a heap in (length, word) order; stripping a word only adds
-    larger words, so each popped word that is still in the residue is its
-    smallest one, and a word is pushed only when it enters the residue.
+    Works over any exact coefficient domain (int or Fraction) on degree
+    buckets of word codes: the triangular system is unipotent, so no
+    division ever happens.  Codes leave a heap in (degree, code) order,
+    which is (length, word) order; stripping a word only adds larger words
+    of its degree, so each popped code that is still in the residue is its
+    smallest one, and a code is pushed only when it enters the residue.
     """
-    residue = dict(tensor)
-    heap = [(len(w), w) for w in residue]
+    residue = {d: dict(bucket) for d, bucket in buckets.items()}
+    heap = [(d, code) for d, bucket in residue.items() for code in bucket]
     heapq.heapify(heap)
     coords: dict = {}
     while heap:
-        w = heapq.heappop(heap)[1]
-        c = residue.get(w)
+        d, code = heapq.heappop(heap)
+        bucket = residue[d]
+        c = bucket.get(code)
         if c is None:
             continue  # stale: the word cancelled out after it was pushed
-        if not is_lyndon(w):
-            raise ValueError(f"series is not a Lie element (stray word {w})")
+        w = _lyndon_codes(n, d).get(code)
+        if w is None:
+            raise ValueError("series is not a Lie element "
+                             f"(stray word {_words(n, d)[code]})")
         coords[w] = c
-        for word, cw in _lyndon_tensor(w).items():
-            if word not in residue:
-                heapq.heappush(heap, (len(word), word))
-            val = residue.get(word, 0) - c * cw
+        for word, cw in _lyndon_tensor(n, w).items():
+            if word not in bucket:
+                heapq.heappush(heap, (d, word))
+            val = bucket.get(word, 0) - c * cw
             if val:
-                residue[word] = val
+                bucket[word] = val
             else:
-                residue.pop(word, None)
+                bucket.pop(word, None)
     return coords
 
 
@@ -217,23 +224,16 @@ class LieElement(Combination):
             raise ValueError("not primitive: nonzero constant term")
         den, nums = series._integral()
         return cls(series.n, {w: Fraction(c, den) for w, c in
-                              _extract_lyndon(decode(nums, series.n)).items()})
+                              _extract_lyndon(series.n, nums).items()})
 
-    def bracket(self, other: "LieElement", max_degree: int | None = None) -> "LieElement":
-        """[self, other], keeping only degrees <= max_degree when one is given.
-
-        Each pair of basis words brackets homogeneously into the sum of
-        their degrees, so pairs past the bound are skipped before any
-        work is done on them.
-        """
+    def bracket(self, other: "LieElement") -> "LieElement":
+        """[self, other], by the structure constants of the Lyndon basis."""
         self._check(other)
         out: dict[Wd, Fraction] = {}
         for wa, ca in self.coeffs.items():
             for wb, cb in other.coeffs.items():
-                if max_degree is not None and len(wa) + len(wb) > max_degree:
-                    continue
                 c = ca * cb
-                for w, cw in _basis_bracket(wa, wb):
+                for w, cw in _basis_bracket(self.n, wa, wb):
                     add_to(out, w, c * cw)
         return LieElement(self.n, out)
 
@@ -243,7 +243,7 @@ class LieElement(Combination):
         for w, c in self.coeffs.items():
             if len(w) <= trunc:  # integer numerators over den, by word code
                 convolve({0: {0: c.numerator * (den // c.denominator)}},
-                         encode(_lyndon_tensor(w), self.n), self.n, trunc, out)
+                         {len(w): _lyndon_tensor(self.n, w)}, self.n, trunc, out)
         return TensorSeries._over(self.n, trunc, den, out)
 
     def __str__(self) -> str:

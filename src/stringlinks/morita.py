@@ -27,7 +27,7 @@ from .expansions import Expansion
 from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
                      _boundary_columns, boundary, exterior_basis, homology,
                      nilpotent_basis, phi_class)
-from .lie import HTensorLie
+from .lie import HTensorLie, LieElement
 from .milnor import milnor_window
 from .linalg import Q1
 from .trees import TreeCombination, enumerate_trees, eta_combination, eta_inverse
@@ -67,8 +67,7 @@ def sigma(inp: MoritaInput) -> ExteriorChain:
     chain = ExteriorChain.zero(basis, 2)
     # Y_i lives in degrees k+1..2k+1, so one wedge per i sums over l
     for i, y in enumerate(value.entries, start=1):
-        x_i = basis.element(basis.index[(i,)])
-        chain = chain + ExteriorChain.wedge(basis, [x_i, y])
+        chain = chain + ExteriorChain.wedge(basis, [LieElement.generator(basis.n, i), y])
     defect = boundary(chain)
     if not defect.is_zero():
         raise RuntimeError("sigma is not a cycle; speciality of the Artin "

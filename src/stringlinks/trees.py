@@ -63,20 +63,18 @@ def _encode(expr) -> tuple:
 
 
 def _sort_expr(expr):
-    """Child-sorted form and the accumulated antisymmetry sign; (None, 0) if zero."""
+    """Child-sorted form, its ``_encode`` code and the accumulated antisymmetry
+    sign, in one pass; (None, None, 0) if zero."""
     if isinstance(expr, int):
-        return expr, 1
-    left, s_left = _sort_expr(expr[0])
-    right, s_right = _sort_expr(expr[1])
-    if left is None or right is None:
-        return None, 0
+        return expr, ("L", expr), 1
+    left, e_left, s_left = _sort_expr(expr[0])
+    right, e_right, s_right = _sort_expr(expr[1])
+    if left is None or right is None or e_left == e_right:
+        return None, None, 0
     sign = s_left * s_right
-    e_left, e_right = _encode(left), _encode(right)
-    if e_left == e_right:
-        return None, 0
     if e_left > e_right:
-        return (right, left), -sign
-    return (left, right), sign
+        return (right, left), ("N", e_right, e_left), -sign
+    return (left, right), ("N", e_left, e_right), sign
 
 
 def _walk(node, context):
@@ -123,10 +121,10 @@ class TreeDiagram(Value):
         best_sign = 0
         signs_seen: dict[tuple, int] = {}
         for r, ex in _presentations(root, expr):
-            sorted_ex, sign = _sort_expr(ex)
+            sorted_ex, code, sign = _sort_expr(ex)
             if sorted_ex is None:
                 return None, 0
-            key = (r, _encode(sorted_ex))
+            key = (r, code)
             if key in signs_seen and signs_seen[key] != sign:
                 return None, 0
             signs_seen[key] = sign

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 
 from stringlinks import Braid, build_special, filtration_degree
-from stringlinks.lie import LieElement, bracket_map_matrix, lyndon_words
+from stringlinks.lie import (LieElement, bracket_map_matrix, lyndon_words,
+                             standard_factorization)
 from stringlinks.linalg import solve
 from stringlinks.tensor import Q0, TensorSeries
 from stringlinks.words import commutator
@@ -154,6 +155,20 @@ def convolve_words(left, right, trunc, out=None):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def lyndon_tensor_reference(w):
+    """Word-keyed integer tensor of the standard bracketing of a Lyndon word,
+    built as ab - ba by ``convolve_words``: a reference for the library's
+    ``lie._lyndon_tensor`` on word codes."""
+    if len(w) == 1:
+        return {w: 1}
+    u, v = standard_factorization(w)
+    a = by_degree(lyndon_tensor_reference(u))
+    b = by_degree(lyndon_tensor_reference(v))
+    out = convolve_words(a, b, len(w))
+    return convolve_words(b, {len(u): [(x, -c) for x, c in a[len(u)]]}, len(w), out)
+
+
 def power_series_words(coeffs, coefficients, trunc):
     """sum_m coefficients[m] * v^m through degree trunc, v the word-keyed
     series ``coeffs`` without its constant term, by ``convolve_words``."""
@@ -223,13 +238,16 @@ def column_rank(columns):
 
 
 def exp_ad(y, i, trunc):
-    """exp(ad y)(X_i) through degree trunc, by Lie brackets."""
+    """exp(ad y)(X_i) through degree trunc, by Lie brackets.  Each degree of y
+    brackets only the part of the term that stays within trunc, so no
+    structure constant past trunc is formed."""
     n = y.n
     out = LieElement.generator(n, i)
     term = out
     fact = 1
     for m in range(1, trunc):
-        term = y.bracket(term, trunc)
+        term = sum((y.degree_component(d).bracket(term.degree_range(1, trunc - d))
+                    for d in y.degrees()), LieElement.zero(n))
         if term.is_zero():
             break
         fact *= m

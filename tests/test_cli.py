@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -383,7 +384,7 @@ def test_trees_command_with_dot(capsys, tmp_path):
     assert doc["terms"]
     assert doc["dotFiles"]
     for p in doc["dotFiles"]:
-        assert open(p).read().startswith("graph")
+        assert Path(p).read_text().startswith("graph")
 
 
 def test_morita_command(capsys):

@@ -43,6 +43,19 @@ def test_boundary_of_a_wedge_pair():
     assert bracket == LieElement(2, {(1, 2): Fraction(1)})
 
 
+@pytest.mark.parametrize("n, cap", [(2, 5), (3, 3), (4, 2)])
+def test_bracket_entry_matches_fraction_brackets(n, cap):
+    # every pair of basis elements: the structure constants reindexed onto
+    # the basis agree, in values and order, with the Fraction bracket of the
+    # two basis words reduced into the quotient
+    basis = nilpotent_basis(n, cap)
+    elements = [LieElement(n, {w: Fraction(1)}) for w in basis.words]
+    for a, x in enumerate(elements):
+        for b, y in enumerate(elements):
+            expected = tuple(sorted(basis.reduce_lie(x.bracket(y)).items()))
+            assert basis.bracket_entry(a, b) == expected
+
+
 def test_boundary_squares_to_zero():
     rng = seeded(19)
     for n, cap in [(2, 3), (3, 3), (3, 4)]:

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stringlinks.lie import (HTensorLie, LieElement, bch, bracket_map_matrix,
-                             bracketing_str, conjugating_element, d_dimension,
-                             is_grouplike, is_lyndon, is_primitive, lyndon_words,
-                             witt_dim)
-from stringlinks.tensor import TensorSeries
+from stringlinks.lie import (HTensorLie, LieElement, _lyndon_tensor, bch,
+                             bracket_map_matrix, bracketing_str, conjugating_element,
+                             d_dimension, is_grouplike, is_lyndon, is_primitive,
+                             lyndon_words, witt_dim)
+from stringlinks.tensor import TensorSeries, decode
 
 from support import (column_rank, conjugating_element_reference, exp_ad,
-                     is_grouplike_by_coproduct, is_primitive_by_coproduct, seeded)
+                     is_grouplike_by_coproduct, is_primitive_by_coproduct,
+                     lyndon_tensor_reference, seeded)
 
 
 def random_lie(n, degrees, rng, density=0.4, max_coeff=3):
@@ -77,23 +78,19 @@ def test_bracket_agrees_with_tensor_commutator():
         assert a.bracket(b).to_tensor(n_deg) == ta * tb - tb * ta
 
 
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=6))
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=6),
+       st.data())
 @settings(max_examples=40, deadline=None)
-def test_degree_bounded_bracket(seed, bound):
-    rng = seeded(seed)
-    n = rng.choice([2, 3])
-    a = random_lie(n, rng.sample(range(1, 4), rng.randint(1, 3)), rng)
-    b = random_lie(n, rng.sample(range(1, 4), rng.randint(1, 3)), rng)
-    full = a.bracket(b)
-    bounded = a.bracket(b, bound)
-    assert bounded == full.degree_range(1, bound)
-    assert (bounded.max_degree() or 0) <= bound
-    # the bounded bracket is the commutator in the tensor algebra truncated at the bound
-    ta, tb = a.to_tensor(bound), b.to_tensor(bound)
-    assert bounded == LieElement.from_tensor(ta * tb - tb * ta)
-    # no bound, or one past every degree, leaves the bracket unchanged
-    assert a.bracket(b, None) == full
-    assert a.bracket(b, 6) == full
+def test_lyndon_tensor_matches_word_keyed_reference(n, d, data):
+    w = data.draw(st.sampled_from(lyndon_words(n, d)))
+    assert decode({d: _lyndon_tensor(n, w)}, n) == lyndon_tensor_reference(w)
+
+
+def test_extraction_names_the_stray_word():
+    # stripping beta(1 2) = X1 X2 - X2 X1 leaves X2 X1 as the smallest word
+    stray = TensorSeries.from_terms(2, 3, [((1, 2), 1), ((2, 2, 1), 3)])
+    with pytest.raises(ValueError, match=r"stray word \(2, 1\)"):
+        LieElement.from_tensor(stray)
 
 
 def test_to_tensor_examples():
