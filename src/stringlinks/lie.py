@@ -107,13 +107,6 @@ def bracketing_str(w: Wd) -> str:
 
 # -- homogeneous tensor expansions of basis elements -------------------------
 
-@functools.lru_cache(maxsize=None)
-def _lyndon_codes(n: int, d: int) -> dict[int, Wd]:
-    """The Lyndon words of length d by word code (base n, letter g as digit g - 1)."""
-    return {functools.reduce(lambda code, g: code * n + g - 1, w, 0): w
-            for w in lyndon_words(n, d)}
-
-
 def _commutator(n: int, u: Wd, v: Wd) -> dict:
     """The degree buckets of [beta(u), beta(v)] = ab - ba, by word code."""
     a, b = {len(u): _lyndon_tensor(n, u)}, {len(v): _lyndon_tensor(n, v)}
@@ -161,10 +154,9 @@ def _extract_lyndon(n: int, buckets: dict) -> dict:
         c = bucket.get(code)
         if c is None:
             continue  # stale: the word cancelled out after it was pushed
-        w = _lyndon_codes(n, d).get(code)
-        if w is None:
-            raise ValueError("series is not a Lie element "
-                             f"(stray word {_words(n, d)[code]})")
+        w = _words(n, d)[code]
+        if not is_lyndon(w):
+            raise ValueError(f"series is not a Lie element (stray word {w})")
         coords[w] = c
         for word, cw in _lyndon_tensor(n, w).items():
             if word not in bucket:
