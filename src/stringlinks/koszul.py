@@ -28,6 +28,10 @@ from .linalg import Q0, Q1, Combination, add_to
 
 IndexTuple = tuple[int, ...]
 
+# (a, b) -> bracket_entry(a, b), one table per n: the basis lists the Lyndon
+# words degree by degree, so a word's index does not depend on the degree cap
+_BRACKET_ENTRIES: dict[int, dict] = {}
+
 
 class NilpotentBasis:
     """Ordered Lyndon basis of the free nilpotent quotient of a given class."""
@@ -43,6 +47,7 @@ class NilpotentBasis:
         self.words = tuple(words)
         self.index = {w: k for k, w in enumerate(self.words)}
         self.degrees = tuple(len(w) for w in self.words)
+        self._brackets = _BRACKET_ENTRIES.setdefault(n, {})
 
     def __len__(self) -> int:
         return len(self.words)
@@ -67,8 +72,12 @@ class NilpotentBasis:
         pairs in index order: the Lyndon structure constants, reindexed."""
         if self.degrees[a] + self.degrees[b] > self.degree_cap:
             return ()
-        return tuple((self.index[w], c) for w, c in
-                     _basis_bracket(self.n, self.words[a], self.words[b]))
+        entry = self._brackets.get((a, b))
+        if entry is None:
+            entry = self._brackets[a, b] = tuple(
+                (self.index[w], c) for w, c in
+                _basis_bracket(self.n, self.words[a], self.words[b]))
+        return entry
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,19 +3,22 @@
 For an input L in the (k+1)-st Milnor filtration level the conjugating
 data Y_i(L) start in degree k+1.  The 2-chain
 
-    sigma_L = sum_i sum_{l=k+1}^{2k+1} X_i ^ Y_i^(l)(L)
+    sigma_L = sum_i sum_{l=k+1}^{2k} X_i ^ Y_i^(l)(L)
 
 over the class-(2k+1) quotient is a cycle (its boundary is the per-degree
-bracket contraction, which speciality kills).  Its reduction to the
-class-2k quotient bounds; a solution t_L of  d_3 t = {sigma_L}  reduces to
+bracket contraction, which speciality kills).  The paper's sum runs to
+l = 2k+1, but that top term has internal degree 2k+2: it is a cycle on its
+own (its bracket lies beyond the class-(2k+1) quotient) and it dies in the
+reduction to the class-2k quotient, so nothing below reads it.  That
+reduction bounds; a solution t_L of  d_3 t = {sigma_L}  reduces to
 a 3-cycle in the class-k quotient whose homology class is the refined
 invariant.  The class does not depend on the choice of t_L, is additive
 under stacking, agrees with the fission route through tree diagrams, and
 its composition with the degree projection recovers the degree-(k+1)
 Milnor invariant; every one of these is an acceptance property.
 
-Degree bookkeeping: Y_i must be exact through degree 2k+1, so the
-underlying special expansion needs truncation degree at least 2k+2 (one
+Degree bookkeeping: Y_i must be exact through degree 2k, so the
+underlying special expansion needs truncation degree at least 2k+1 (one
 more than the top Y degree, since the top component of a conjugator needs
 one degree of headroom).
 """
@@ -36,7 +39,7 @@ from .words import Braid, LongitudeTuple
 
 def required_truncation(k: int) -> int:
     """Smallest expansion truncation supporting the full degree-k pipeline."""
-    return 2 * k + 2
+    return 2 * k + 1
 
 
 class MoritaInput:
@@ -56,16 +59,19 @@ class MoritaInput:
                 f"degree-{self.k} pipeline needs {required_truncation(self.k)}")
 
     def conjugating_data(self) -> HTensorLie:
-        return milnor_window(self.data, self.theta, self.k + 1, 2 * self.k + 1)
+        return milnor_window(self.data, self.theta, self.k + 1, 2 * self.k)
 
 
 def sigma(inp: MoritaInput) -> ExteriorChain:
-    """The 2-cycle sum_i sum_l X_i ^ Y_i^(l) over the class-(2k+1) quotient."""
+    """The 2-cycle sum_i sum_{l=k+1}^{2k} X_i ^ Y_i^(l) over the class-(2k+1)
+    quotient.  The paper's top term l = 2k+1 is left out: it has internal
+    degree 2k+2, so its boundary vanishes in this quotient and it dies in
+    the reduction to the class-2k quotient that ``morita_milnor`` bounds."""
     k = inp.k
     value = inp.conjugating_data()
     basis = nilpotent_basis(inp.theta.n, 2 * k + 1)
     chain = ExteriorChain.zero(basis, 2)
-    # Y_i lives in degrees k+1..2k+1, so one wedge per i sums over l
+    # Y_i lives in degrees k+1..2k, so one wedge per i sums over l
     for i, y in enumerate(value.entries, start=1):
         chain = chain + ExteriorChain.wedge(basis, [LieElement.generator(basis.n, i), y])
     defect = boundary(chain)
@@ -123,10 +129,8 @@ def diagram_sides(inp: MoritaInput) -> tuple[HomologyClass, HomologyClass]:
     The fission route sends the truncated invariant (degrees k+1..2k)
     through eta-inversion into tree diagrams and applies the fission map.
     """
-    k = inp.k
-    value = inp.conjugating_data().degree_range(k + 1, 2 * k)
-    trees = eta_inverse(value)
-    return morita_milnor(inp), phi_class(trees, k + 1)
+    trees = eta_inverse(inp.conjugating_data())
+    return morita_milnor(inp), phi_class(trees, inp.k + 1)
 
 
 def verify_commutative_diagram(inp: MoritaInput) -> bool:

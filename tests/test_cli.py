@@ -417,10 +417,10 @@ def builds(monkeypatch):
     return asked
 
 
-@pytest.mark.parametrize("k, trunc", [("1", 2), ("2", 4)])
+@pytest.mark.parametrize("k, trunc", [("1", 2), ("2", 3)])
 def test_verify_sizes_expansions_by_its_checks(capsys, builds, k, trunc):
     # the degree-k checks need truncation k + 1 and the refined checks at
-    # k - 1 need 2k, so both expansions are built at max(k + 1, 2k)
+    # k - 1 need 2k - 1, so both expansions are built at max(k + 1, 2k - 1)
     code, out, _ = run(capsys, "verify", "--braid", "[A(1,2), A(1,3)]", "--n", "3",
                        "--k", k)
     assert code == EXIT_OK
@@ -439,6 +439,42 @@ def test_verify_identity_braid_without_k(capsys, builds, n):
     assert len(lines) == 6 and all(line.startswith("[PASS]") for line in lines)
     assert "refined checks skipped" in lines[-1]
     assert builds == [7, 7]
+
+
+def test_morita_sizes_its_expansion_by_the_degrees_it_reads(capsys, builds):
+    # the class, the cycle check and the fission side read Y_i through
+    # degree 2k, so morita --k 2 builds at truncation 2k + 1 = 5
+    code, out, _ = run(capsys, "morita", "--n", "3", "--k", "2",
+                       "--braid", "[A(1,2), [A(1,3), A(2,3)]]")
+    assert code == EXIT_OK and "diagram commutes: True" in out
+    assert builds == [5]
+
+
+def test_morita_expansion_file_truncation_contract(capsys, tmp_path):
+    braid = "[A(1,2), [A(1,3), A(2,3)]]"
+    code, out, _ = run(capsys, "morita", "--n", "3", "--k", "2", "--braid", braid,
+                       "--format", "json")
+    assert code == EXIT_OK
+    canonical = json.loads(out)
+    for trunc in ("5", "4"):
+        path = tmp_path / f"theta{trunc}.json"
+        code, _, _ = run(capsys, "expansion", "build", "--n", "3", "--trunc", trunc,
+                         "--out", str(path))
+        assert code == EXIT_OK
+    # a file at truncation 2k + 1 is enough and gives the canonical class
+    code, out, err = run(capsys, "morita", "--n", "3", "--k", "2", "--braid", braid,
+                         "--expansion", str(tmp_path / "theta5.json"),
+                         "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    assert doc["class"] == canonical["class"]
+    assert doc["diagramCommutes"] is True
+    assert doc["degreeProjection"] == canonical["degreeProjection"]
+    # one degree short is refused up front
+    code, out, err = run(capsys, "morita", "--n", "3", "--k", "2", "--braid", braid,
+                         "--expansion", str(tmp_path / "theta4.json"))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "truncation 4 < required 5" in err
 
 
 # sha256 of the JSON output on [A(1,2), A(1,3)] at n = 3: the rendering of

@@ -222,6 +222,18 @@ def test_speciality_check_runs_no_elimination(monkeypatch):
     assert solved == [1, 2, 3]
 
 
+@pytest.mark.parametrize("n,trunc", [(2, 3), (2, 5), (3, 3), (3, 4), (3, 5),
+                                     (3, 6), (4, 3)])
+@pytest.mark.parametrize("strategy,seed", [("canonical", 0), ("randomized", 3),
+                                           ("randomized", 11)])
+def test_builds_are_consistent_under_truncation(n, trunc, strategy, seed):
+    # a build at trunc + 1 truncates to the build at trunc, so a pipeline
+    # that reads theta through degree T may build at T instead of higher
+    low = shared_expansion(n, trunc, strategy, seed)
+    high = shared_expansion(n, trunc + 1, strategy, seed)
+    assert low.images == tuple(img.truncate(trunc) for img in high.images)
+
+
 def test_build_special_n1():
     theta = build_special(1, 4)
     assert theta.images[0] == TensorSeries.generator(1, 4, 1).exp()

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from stringlinks.koszul import ExteriorChain, boundary, homology, nilpotent_basis
-from stringlinks.milnor import FiltrationError, milnor_degree
+from stringlinks.koszul import (ExteriorChain, boundary, homology, nilpotent_basis,
+                                phi_class)
+from stringlinks.lie import LieElement
+from stringlinks.milnor import FiltrationError, milnor_degree, milnor_window
 from stringlinks.morita import (MoritaInput, d2_composition, diagram_sides,
                                 morita_milnor, required_truncation, sigma,
                                 solve_boundary, verify_commutative_diagram)
-from stringlinks.trees import TreeCombination, enumerate_trees, eta
-from stringlinks.words import Braid
+from stringlinks.trees import TreeCombination, enumerate_trees, eta, eta_inverse
+from stringlinks.words import Braid, commutator
 
 from support import nested_commutator_corpus, seeded, shared_expansion
 
@@ -20,7 +22,7 @@ def theta3():
 def test_morita_input_validation():
     corpus = nested_commutator_corpus()
     with pytest.raises(ValueError):
-        MoritaInput(corpus["level2"][0], shared_expansion(3, 3), 1)
+        MoritaInput(corpus["level2"][0], shared_expansion(3, 2), 1)
     with pytest.raises(ValueError):
         MoritaInput(corpus["level2"][0], theta3(), 0)
     inp = MoritaInput(corpus["g"][0], theta3(), 1)  # level-1 braid: not in SL(2)
@@ -38,7 +40,7 @@ def test_sigma_is_a_cycle_with_expected_degrees():
     inp = MoritaInput(corpus["level2"][0], theta3(), 1)
     chain = sigma(inp)
     assert boundary(chain).is_zero()
-    assert chain.degrees() == [3, 4]
+    assert chain.degrees() == [3]
     assert chain.basis.degree_cap == 2 * inp.k + 1
 
 
@@ -135,8 +137,46 @@ def test_d2_composition_recovers_degree_invariant():
 
 def test_d2_on_pure_fission_classes():
     # x = Phi(T) with deg T = k+1 must return eta(T)
-    from stringlinks.koszul import phi_class
     n, k = 3, 1
     for t in enumerate_trees(n, k + 1):
         cls = phi_class(TreeCombination(n).add_diagram(t, 1), k + 1)
         assert d2_composition(cls) == eta(t)
+
+
+def paper_class(braid, theta, k):
+    """The paper's route, from Y exact through degree 2k + 1: sigma sums
+    l = k+1..2k+1 over the class-(2k+1) quotient; the reduced sigma and the
+    class in H_3 of the class-k quotient."""
+    n = theta.n
+    basis = nilpotent_basis(n, 2 * k + 1)
+    value = milnor_window(braid, theta, k + 1, 2 * k + 1)
+    chain = ExteriorChain.zero(basis, 2)
+    for i, y in enumerate(value.entries, start=1):
+        chain = chain + ExteriorChain.wedge(basis, [LieElement.generator(n, i), y])
+    assert boundary(chain).is_zero()
+    reduced = chain.reduce_to(nilpotent_basis(n, 2 * k))
+    t_chain = solve_boundary(reduced).reduce_to(nilpotent_basis(n, k))
+    return reduced, homology(3, n, k).project(t_chain)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1)])
+@pytest.mark.parametrize("strategy,seed", [("canonical", 0), ("randomized", 3)])
+def test_truncation_2k_plus_1_reads_what_2k_plus_2_did(n, k, strategy, seed):
+    # the top term X_i ^ Y_i^(2k+1) has internal degree 2k+2 and dies in the
+    # reduction, so expansions at 2k + 1 give everything 2k + 2 gave
+    g = [Braid.gen(n, 1, 2), Braid.gen(n, 1, 3), Braid.gen(n, 2, 3)]
+    braid = commutator(g[0], g[1]) if k == 1 else commutator(g[2], commutator(g[0], g[1]))
+    if n == 4:
+        braid = braid * commutator(Braid.gen(n, 1, 4), Braid.gen(n, 3, 4))
+    small = shared_expansion(n, 2 * k + 1, strategy, seed)
+    big = shared_expansion(n, 2 * k + 2, strategy, seed)
+    inp = MoritaInput(braid, small, k)
+    assert required_truncation(k) == 2 * k + 1
+    reduced, cls = paper_class(braid, big, k)
+    assert sigma(inp).reduce_to(nilpotent_basis(n, 2 * k)) == reduced
+    lhs, rhs = diagram_sides(inp)
+    assert lhs == cls == rhs and not cls.is_zero()
+    big_fission = eta_inverse(milnor_window(braid, big, k + 1, 2 * k))
+    assert phi_class(big_fission, k + 1) == rhs
+    assert d2_composition(lhs) == milnor_degree(braid, big, k + 1)
+    assert MoritaInput(braid, big, k).conjugating_data() == inp.conjugating_data()

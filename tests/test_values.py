@@ -83,8 +83,8 @@ def test_tree_diagram_equality_ignores_the_guard():
      "Y_1 exceeds the declared degree bound"),
     (lambda: MoritaInput(Braid.identity(2), shared_expansion(2, 4), 0),
      "filtration parameter k must be >= 1"),
-    (lambda: MoritaInput(Braid.identity(2), shared_expansion(2, 3), 1),
-     "expansion truncation 3 too small; the degree-1 pipeline needs 4"),
+    (lambda: MoritaInput(Braid.identity(2), shared_expansion(2, 2), 1),
+     "expansion truncation 2 too small; the degree-1 pipeline needs 3"),
 ])
 def test_validation_messages(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
