@@ -8,11 +8,19 @@ degrees 1..degree_cap.  Exterior powers carry the boundary
         = sum_{a<b} (-1)^{a+b} [h_a, h_b] ^ h_1 ^ ... ^h_a^ ... ^h_b^ ... ^ h_p
 
 so in particular d_2(a ^ b) = -[a, b].  The boundary preserves the
-internal degree (the sum of member degrees), so all linear algebra runs
-per internal-degree block.  A homology block is read off one reduced
-echelon form of ``[image | kernel]``: its pivot columns are the columns
-that raise the rank, left to right in Lyndon-lexicographic tuple order,
-so homology bases and projections are reproducible across runs.  A
+internal degree (the sum of member degrees), so homology is held per
+internal-degree block.  It also preserves the multidegree (the letter
+content of a tuple's members, which the Lyndon structure constants keep),
+so each block is the direct sum of its multidegree parts, and every
+elimination runs on one part at a time (``multidegree_blocks``).  A
+homology block is read off the reduced echelon forms of
+``[image | kernel]`` on its parts: their pivot columns are the columns
+that raise the rank, left to right in Lyndon-lexicographic tuple order.
+Left-to-right pivoting on a direct sum picks in each summand what it
+picks on that summand alone, so the whole-block vectors put back together
+from the parts are exactly those of one elimination on the whole block,
+and homology bases and projections are reproducible across runs.
+Projection (``HomologyBasis.project``) still solves on whole blocks.  A
 homology class (``HomologyClass``) is a ``Combination`` over those
 representatives, graded by their internal degrees.
 """
@@ -47,6 +55,8 @@ class NilpotentBasis:
         self.words = tuple(words)
         self.index = {w: k for k, w in enumerate(self.words)}
         self.degrees = tuple(len(w) for w in self.words)
+        self.multidegrees = tuple(tuple(w.count(i) for i in range(1, n + 1))
+                                  for w in self.words)
         self._brackets = _BRACKET_ENTRIES.setdefault(n, {})
 
     def __len__(self) -> int:
@@ -58,6 +68,11 @@ class NilpotentBasis:
 
     def __hash__(self):
         return hash((self.n, self.degree_cap))
+
+    def multidegree(self, t: IndexTuple) -> tuple[int, ...]:
+        """Letter content of an index tuple: the sum of its members' letter
+        counts, which every bracket entry keeps."""
+        return tuple(map(sum, zip(*(self.multidegrees[k] for k in t))))
 
     def reduce_lie(self, x: LieElement) -> dict[int, Fraction]:
         """Coordinates of the image of x in the quotient (higher degrees die)."""
@@ -197,12 +212,36 @@ def exterior_basis(basis: NilpotentBasis, p: int, d: int) -> tuple[IndexTuple, .
     return tuple(out)
 
 
-def _boundary_columns(basis: NilpotentBasis, p: int,
-                      d: int) -> tuple[list, tuple[IndexTuple, ...]]:
-    """Columns of d_p on the degree-d block, plus the codomain tuple list."""
-    codomain = exterior_basis(basis, p - 1, d)
+@functools.lru_cache(maxsize=None)
+def multidegree_blocks(basis: NilpotentBasis, p: int,
+                       d: int) -> dict[tuple[int, ...], tuple[tuple[int, ...],
+                                                              tuple[IndexTuple, ...]]]:
+    """The tuples of ``exterior_basis(basis, p, d)`` grouped by multidegree:
+    each multidegree maps to its tuples' positions in that basis and the
+    tuples themselves, both in lex order.  Shared; do not mutate."""
+    groups: dict = {}
+    for j, t in enumerate(exterior_basis(basis, p, d)):
+        positions, tuples = groups.setdefault(basis.multidegree(t), ([], []))
+        positions.append(j)
+        tuples.append(t)
+    return {m: (tuple(js), tuple(ts)) for m, (js, ts) in groups.items()}
+
+
+def _boundary_columns(basis: NilpotentBasis, p: int, d: int,
+                      multidegree: tuple[int, ...] | None = None
+                      ) -> tuple[list, tuple[IndexTuple, ...]]:
+    """Columns of d_p on the degree-d block, or on its part of one
+    multidegree, plus the codomain tuple list."""
+    if multidegree is None:
+        domain = exterior_basis(basis, p, d)
+        codomain = exterior_basis(basis, p - 1, d)
+    else:
+        domain = multidegree_blocks(basis, p, d).get(multidegree, ((), ()))[1]
+        codomain = multidegree_blocks(basis, p - 1, d).get(multidegree, ((), ()))[1]
+    if not codomain:  # nothing to land on: d_p is zero here
+        return [[] for _ in domain], codomain
     return ([boundary(ExteriorChain(basis, p, {t: Q1})).vector(codomain)
-             for t in exterior_basis(basis, p, d)], codomain)
+             for t in domain], codomain)
 
 
 class NotACycleError(ValueError):
@@ -231,10 +270,12 @@ class HomologyBasis:
     """Deterministic basis data for H_p of one nilpotent quotient.
 
     Per internal degree d the block holds a boundary basis and cycle
-    representatives extending it: the pivot columns of one reduced echelon
-    form of ``[image of d_{p+1} | kernel basis of d_p]``, which fix the
-    representative order and hence class coordinates.  A cycle projects
-    to coordinates over the representatives by one exact solve.
+    representatives extending it: the pivot columns of the reduced echelon
+    forms of ``[image of d_{p+1} | kernel basis of d_p]`` on the block's
+    multidegree parts, put back together in whole-block column order, which
+    fix the representative order and hence class coordinates.  A cycle
+    projects to coordinates over the representatives by one exact solve on
+    its whole block.
     """
 
     def __init__(self, p: int, n: int, degree_cap: int):
@@ -255,18 +296,40 @@ class HomologyBasis:
         domain = exterior_basis(self.basis, self.p, d)
         if not domain:
             return None
-        columns, _ = _boundary_columns(self.basis, self.p, d)
-        kernel = linalg.kernel(columns)
-        image_cols, _ = _boundary_columns(self.basis, self.p + 1, d)
-        candidates = image_cols + kernel
-        _, pivots = linalg.rref([[col[r] for col in candidates]
-                                 for r in range(len(domain))])
-        split = len(image_cols)
+        sources = multidegree_blocks(self.basis, self.p + 1, d)
+        images: dict = {}  # position among the (p+1)-tuples -> column
+        reps: dict = {}  # position of the kernel vector's free column -> vector
+        cycles = 0
+
+        def whole(v, rows):  # a part's vector, padded onto the whole block
+            out = [Q0] * len(domain)
+            for j, x in zip(rows, v):
+                out[j] = x
+            return out
+
+        for m, (rows, tuples) in multidegree_blocks(self.basis, self.p, d).items():
+            kernel = linalg.kernel(_boundary_columns(self.basis, self.p, d, m)[0])
+            image_cols, _ = _boundary_columns(self.basis, self.p + 1, d, m)
+            candidates = image_cols + kernel
+            _, pivots = linalg.rref([[col[r] for col in candidates]
+                                     for r in range(len(tuples))])
+            split = len(image_cols)
+            positions = sources.get(m, ((), ()))[0]
+            for c in pivots:
+                if c < split:
+                    images[positions[c]] = whole(image_cols[c], rows)
+                else:
+                    # a kernel vector is nonzero only at its free column and
+                    # at pivot columns left of it
+                    v = kernel[c - split]
+                    free = max(j for j, x in enumerate(v) if x)
+                    reps[rows[free]] = whole(v, rows)
+            cycles += len(kernel)
         return HomologyBlock(
             tuples=domain,
-            image_basis=[image_cols[c] for c in pivots if c < split],
-            reps=[kernel[c - split] for c in pivots if c >= split],
-            cycles=len(kernel))
+            image_basis=[images[j] for j in sorted(images)],
+            reps=[reps[j] for j in sorted(reps)],
+            cycles=cycles)
 
     @property
     def dimension(self) -> int:

@@ -28,8 +28,8 @@ from __future__ import annotations
 from . import linalg
 from .expansions import Expansion
 from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
-                     _boundary_columns, boundary, exterior_basis, homology,
-                     nilpotent_basis, phi_class)
+                     _boundary_columns, boundary, homology,
+                     multidegree_blocks, nilpotent_basis, phi_class)
 from .lie import HTensorLie, LieElement
 from .milnor import milnor_window
 from .linalg import Q1
@@ -84,10 +84,12 @@ def sigma(inp: MoritaInput) -> ExteriorChain:
 def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> ExteriorChain:
     """A 3-chain t with boundary equal to the given 2-cycle.
 
-    Solved per internal-degree block with the deterministic row-reduced
-    solution; ``pivot_order`` "forward" or "backward" selects the column
-    preference, giving two genuinely different solutions on underdetermined
-    blocks (the final homology class must not see the difference).
+    Solved per multidegree part of each internal-degree block (d_3 keeps
+    the multidegree) with the deterministic row-reduced solution, which is
+    the whole block's solution restricted to the part; ``pivot_order``
+    "forward" or "backward" selects the column preference, giving two
+    genuinely different solutions on underdetermined blocks (the final
+    homology class must not see the difference).
     Raises when no solution exists, which for in-contract inputs means a bug.
     """
     if pivot_order not in ("forward", "backward"):
@@ -95,10 +97,14 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
     if not boundary(target).is_zero():
         raise NotACycleError("boundary target is not a cycle")
     basis = target.basis
+    parts: dict = {}  # the target's terms by multidegree; d_3 keeps it
+    for t, c in target.coeffs.items():
+        parts.setdefault(basis.multidegree(t), {})[t] = c
     coords = {}
-    for d in target.degrees():
-        columns, codomain = _boundary_columns(basis, 3, d)
-        rhs = target.degree_component(d).vector(codomain)
+    for m, part in parts.items():
+        d = sum(m)
+        columns, codomain = _boundary_columns(basis, 3, d, m)
+        rhs = ExteriorChain(basis, 2, part).vector(codomain)
         order = None
         if pivot_order == "backward":
             order = list(range(len(columns)))[::-1]
@@ -106,7 +112,7 @@ def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> Exter
         if sol is None:
             raise RuntimeError(f"no bounding 3-chain in internal degree {d}; "
                                "H_2 triviality must have been violated")
-        coords.update(zip(exterior_basis(basis, 3, d), sol))
+        coords.update(zip(multidegree_blocks(basis, 3, d)[m][1], sol))
     return ExteriorChain(basis, 3, coords)
 
 

@@ -250,36 +250,31 @@ def eta_combination(comb: TreeCombination) -> HTensorLie:
 
 
 @functools.lru_cache(maxsize=None)
-def _shapes(leaf_count: int) -> tuple:
-    """All full binary tree shapes with the given number of leaves."""
+def _sorted_exprs(n: int, leaf_count: int) -> tuple:
+    """Every child-sorted, nonzero expression with the given number of leaves,
+    as (``_encode`` code, expr) pairs: the children of each node are two
+    different subexpressions, the one of smaller code on the left."""
     if leaf_count == 1:
-        return ("*",)
+        return tuple((("L", c), c) for c in range(1, n + 1))
     out = []
     for k in range(1, leaf_count):
-        for a in _shapes(k):
-            for b in _shapes(leaf_count - k):
-                out.append((a, b))
+        for left_code, left in _sorted_exprs(n, k):
+            for right_code, right in _sorted_exprs(n, leaf_count - k):
+                if left_code < right_code:
+                    out.append((("N", left_code, right_code), (left, right)))
     return tuple(out)
-
-
-def _colorings(n: int, shape):
-    if shape == "*":
-        for c in range(1, n + 1):
-            yield c
-    else:
-        for a in _colorings(n, shape[0]):
-            for b in _colorings(n, shape[1]):
-                yield (a, b)
 
 
 @functools.lru_cache(maxsize=None)
 def enumerate_trees(n: int, degree: int) -> tuple[TreeDiagram, ...]:
     """All nonzero canonical diagrams of the given degree (a spanning set).
 
-    The enumeration walks every rooted shape and coloring and keeps the
-    distinct canonical forms, so it spans the diagram space modulo AS by
-    construction; spanning modulo IHX as well is certified in the tests by
-    comparing the eta-image rank with the bracket-kernel dimension.
+    The canonical presentation of a nonzero diagram is a child-sorted,
+    nonzero expression under a root colour, so rooting every such
+    expression at every colour and keeping the distinct canonical forms
+    reaches every diagram modulo AS; spanning modulo IHX as well is
+    certified in the tests by comparing the eta-image rank with the
+    bracket-kernel dimension.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -287,12 +282,11 @@ def enumerate_trees(n: int, degree: int) -> tuple[TreeDiagram, ...]:
         raise ScaleError(f"enumeration supported for n <= {MAX_COLORS}, "
                          f"degree <= {MAX_DEGREE}")
     seen: dict[TreeDiagram, None] = {}
-    for shape in _shapes(degree):
+    for _code, expr in _sorted_exprs(n, degree):
         for root in range(1, n + 1):
-            for expr in _colorings(n, shape):
-                diagram, _sign = TreeDiagram.build(n, root, expr)
-                if diagram is not None:
-                    seen.setdefault(diagram, None)
+            diagram, _sign = TreeDiagram.build(n, root, expr)
+            if diagram is not None:
+                seen.setdefault(diagram, None)
     return tuple(sorted(seen, key=lambda t: (t.root, _encode(t.expr))))
 
 

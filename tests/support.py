@@ -11,10 +11,13 @@ import random
 from fractions import Fraction
 
 from stringlinks import Braid, build_special, filtration_degree
+from stringlinks.koszul import (ExteriorChain, _boundary_columns, exterior_basis,
+                                nilpotent_basis)
 from stringlinks.lie import (LieElement, bracket_map_matrix, lyndon_words,
                              standard_factorization)
-from stringlinks.linalg import solve
-from stringlinks.tensor import Q0, TensorSeries
+from stringlinks.linalg import Q0, Q1, solve
+from stringlinks.tensor import TensorSeries
+from stringlinks.trees import TreeDiagram, _encode
 from stringlinks.words import commutator
 
 
@@ -221,7 +224,7 @@ def rref_reference(rows):
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -235,6 +238,86 @@ def column_rank(columns):
         return 0
     return len(rref_reference([[col[r] for col in columns]
                                for r in range(len(columns[0]))])[1])
+
+
+def kernel_reference(columns):
+    """Kernel basis by the Fraction oracle, one vector per free column, as
+    ``linalg.kernel`` returns it."""
+    width = len(columns)
+    height = len(columns[0]) if columns else 0
+    red, pivots = rref_reference([[col[r] for col in columns] for r in range(height)])
+    out = []
+    for free in range(width):
+        if free in pivots:
+            continue
+        v = [Q0] * width
+        v[free] = Q1
+        for k, p in enumerate(pivots):
+            v[p] = -red[k][free]
+        out.append(v)
+    return out
+
+
+def homology_blocks_reference(p, n, cap):
+    """{d: (image basis, reps, cycles)} of H_p of the class-cap quotient by one
+    elimination on each whole internal-degree block, on the Fraction oracle:
+    the pivot columns of ``[image of d_{p+1} | kernel basis of d_p]``.  An
+    oracle for ``HomologyBasis``, which eliminates per multidegree."""
+    basis = nilpotent_basis(n, cap)
+    out = {}
+    for d in range(p, p * cap + 1):
+        domain = exterior_basis(basis, p, d)
+        if not domain:
+            continue
+        kernel = kernel_reference(_boundary_columns(basis, p, d)[0])
+        image_cols = _boundary_columns(basis, p + 1, d)[0]
+        candidates = image_cols + kernel
+        _, pivots = rref_reference([[col[r] for col in candidates]
+                                    for r in range(len(domain))])
+        split = len(image_cols)
+        out[d] = ([image_cols[c] for c in pivots if c < split],
+                  [kernel[c - split] for c in pivots if c >= split], len(kernel))
+    return out
+
+
+def solve_boundary_reference(target, pivot_order="forward"):
+    """A 3-chain bounding the 2-cycle ``target`` by one solve on each whole
+    internal-degree block, with the pivot preference reversed for
+    "backward": an oracle for ``morita.solve_boundary``."""
+    basis = target.basis
+    coords = {}
+    for d in target.degrees():
+        columns = _boundary_columns(basis, 3, d)[0]
+        order = list(range(len(columns)))[::-1] if pivot_order == "backward" else None
+        sol = solve(columns, target.degree_component(d).vector(exterior_basis(basis, 2, d)),
+                    column_order=order)
+        coords.update(zip(exterior_basis(basis, 3, d), sol))
+    return ExteriorChain(basis, 3, coords)
+
+
+def enumerate_trees_reference(n, degree):
+    """The canonical diagrams of one degree by walking every full binary
+    shape, every colouring of its leaves and every root colour: an oracle
+    for ``trees.enumerate_trees``, in its order."""
+    def shapes(leaves):
+        if leaves == 1:
+            return ["*"]
+        return [(a, b) for k in range(1, leaves)
+                for a in shapes(k) for b in shapes(leaves - k)]
+
+    def colorings(shape):
+        if shape == "*":
+            return list(range(1, n + 1))
+        return [(a, b) for a in colorings(shape[0]) for b in colorings(shape[1])]
+
+    seen = set()
+    for shape in shapes(degree):
+        for root in range(1, n + 1):
+            for expr in colorings(shape):
+                diagram, _sign = TreeDiagram.build(n, root, expr)
+                if diagram is not None:
+                    seen.add(diagram)
+    return tuple(sorted(seen, key=lambda t: (t.root, _encode(t.expr))))
 
 
 def exp_ad(y, i, trunc):

@@ -5,11 +5,12 @@ import pytest
 
 from stringlinks.koszul import (ExteriorChain, HomologyClass, NotACycleError,
                                 _boundary_columns, boundary, exterior_basis,
-                                homology, nilpotent_basis, phi_class)
+                                homology, multidegree_blocks, nilpotent_basis,
+                                phi_class)
 from stringlinks.lie import LieElement, d_dimension, witt_dim
 from stringlinks.trees import TreeCombination, TreeDiagram, enumerate_trees
 
-from support import column_rank, seeded
+from support import column_rank, homology_blocks_reference, seeded
 
 
 def random_chain(basis, p, rng, density=0.15):
@@ -245,3 +246,51 @@ def test_boundary_columns_are_exact_fractions():
             for col in columns:
                 assert len(col) == len(codomain)
                 assert all(type(c) is Fraction for c in col)
+
+
+@pytest.mark.parametrize("p, n, cap, fingerprint, dimension", [
+    (3, 3, 4, "4e38e6db9107c120", 436),
+    (3, 4, 3, "154581b4d6a1ab9a", 522),
+])
+def test_pinned_larger_homology_bases(p, n, cap, fingerprint, dimension):
+    # the bases the k = 4 pipeline at n = 3 and the k = 3 one at n = 4 project
+    # onto; their largest blocks split into many multidegree parts
+    h = homology(p, n, cap)
+    assert h.fingerprint() == fingerprint
+    assert h.dimension == dimension
+
+
+@pytest.mark.parametrize("p, n, cap", [
+    (3, 2, 3), (3, 3, 2), (3, 4, 2), (3, 3, 3), (2, 3, 3), (4, 3, 2),
+    (2, 2, 4), (4, 3, 3),
+])
+def test_homology_blocks_match_whole_block_elimination(p, n, cap):
+    # eliminating one multidegree part at a time and putting the vectors back
+    # together gives exactly what one Fraction elimination of each whole
+    # internal-degree block gives: the same image basis, representatives
+    # (in the same order) and cycle counts
+    h = homology(p, n, cap)
+    reference = homology_blocks_reference(p, n, cap)
+    assert sorted(h.blocks) == sorted(reference)
+    for d, (image_basis, reps, cycles) in reference.items():
+        block = h.blocks[d]
+        assert block.tuples == exterior_basis(h.basis, p, d)
+        assert block.image_basis == image_basis
+        assert block.reps == reps
+        assert block.cycles == cycles
+
+
+@pytest.mark.parametrize("p, n, cap", [(3, 3, 3), (4, 3, 2)])
+def test_boundary_keeps_multidegree(p, n, cap):
+    # every unit p-chain's boundary lies in the unit's own multidegree, which
+    # is what lets each internal-degree block split into multidegree parts
+    basis = nilpotent_basis(n, cap)
+    for d in range(p, p * cap + 1):
+        parts = multidegree_blocks(basis, p, d)
+        assert sorted(j for rows, _ in parts.values() for j in rows) == list(
+            range(len(exterior_basis(basis, p, d))))
+        for m, (_, tuples) in parts.items():
+            assert sum(m) == d
+            for t in tuples:
+                image = boundary(ExteriorChain(basis, p, {t: Fraction(1)}))
+                assert all(basis.multidegree(s) == m for s in image.coeffs)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from stringlinks.cli import parse_braid
 from stringlinks.koszul import (ExteriorChain, boundary, homology, nilpotent_basis,
                                 phi_class)
 from stringlinks.lie import LieElement
@@ -12,7 +13,8 @@ from stringlinks.morita import (MoritaInput, d2_composition, diagram_sides,
 from stringlinks.trees import TreeCombination, enumerate_trees, eta, eta_inverse
 from stringlinks.words import Braid, commutator
 
-from support import nested_commutator_corpus, seeded, shared_expansion
+from support import (nested_commutator_corpus, seeded, shared_expansion,
+                     solve_boundary_reference)
 
 
 def theta3():
@@ -180,3 +182,20 @@ def test_truncation_2k_plus_1_reads_what_2k_plus_2_did(n, k, strategy, seed):
     assert phi_class(big_fission, k + 1) == rhs
     assert d2_composition(lhs) == milnor_degree(braid, big, k + 1)
     assert MoritaInput(braid, big, k).conjugating_data() == inp.conjugating_data()
+
+
+@pytest.mark.parametrize("n, k, word", [
+    (3, 2, "[A(1,2), [A(1,3), A(2,3)]]"),
+    (3, 2, "[[A(1,2), A(1,3)], A(1,3)]"),
+    (4, 2, "[A(1,2), [A(3,4), A(1,4)]]"),
+    (3, 3, "[A(1,2), [A(1,3), [A(2,3), A(1,2)]]]"),
+])
+def test_solve_boundary_matches_whole_block_solution(n, k, word):
+    # solving each multidegree part on its own gives exactly the particular
+    # solution of one solve on each whole internal-degree block, in both
+    # pivot orders
+    inp = MoritaInput(parse_braid(word, n), shared_expansion(n, required_truncation(k)), k)
+    target = sigma(inp).reduce_to(nilpotent_basis(n, 2 * k))
+    assert len({target.basis.multidegree(t) for t in target.coeffs}) > 1
+    for order in ("forward", "backward"):
+        assert solve_boundary(target, order) == solve_boundary_reference(target, order)

@@ -8,7 +8,7 @@ from stringlinks.trees import (ScaleError, TreeCombination, TreeDiagram,
                                enumerate_trees, eta, eta_combination,
                                eta_inverse, fission, fission_combination)
 
-from support import column_rank, seeded
+from support import column_rank, enumerate_trees_reference, seeded
 
 
 def build(n, root, expr):
@@ -117,6 +117,14 @@ def test_enumeration_counts():
         assert len(enumerate_trees(n, 1)) == n * (n + 1) // 2
     # degree-2 trees with two colors all die by antisymmetry
     assert len(enumerate_trees(2, 2)) == 0
+
+
+@pytest.mark.parametrize("n, degree", [(n, d) for n in range(1, 5) for d in range(1, 5)]
+                         + [(2, 5), (3, 5)])
+def test_enumeration_matches_shape_coloring_oracle(n, degree):
+    # rooting the child-sorted expressions at every colour reaches the same
+    # canonical diagrams, in the same order, as every shape x colouring x root
+    assert enumerate_trees(n, degree) == enumerate_trees_reference(n, degree)
 
 
 def test_enumeration_scale_guard():
