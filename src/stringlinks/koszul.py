@@ -11,8 +11,8 @@ so in particular d_2(a ^ b) = -[a, b].  The boundary preserves the
 internal degree (the sum of member degrees), so homology is held per
 internal-degree block.  It also preserves the multidegree (the letter
 content of a tuple's members, which the Lyndon structure constants keep),
-so each block is the direct sum of its multidegree parts, and every
-elimination runs on one part at a time (``multidegree_blocks``).  A
+so each block is the direct sum of its multidegree parts, and building a
+homology basis eliminates one part at a time (``multidegree_blocks``).  A
 homology block is read off the reduced echelon forms of
 ``[image | kernel]`` on its parts: their pivot columns are the columns
 that raise the rank, left to right in Lyndon-lexicographic tuple order.
@@ -20,9 +20,12 @@ Left-to-right pivoting on a direct sum picks in each summand what it
 picks on that summand alone, so the whole-block vectors put back together
 from the parts are exactly those of one elimination on the whole block,
 and homology bases and projections are reproducible across runs.
-Projection (``HomologyBasis.project``) still solves on whole blocks.  A
-homology class (``HomologyClass``) is a ``Combination`` over those
-representatives, graded by their internal degrees.
+Projection (``HomologyBasis.project``) still solves on whole blocks: the
+koszul-h3 benchmark runs a fixed span of projection time, and much faster
+projections would overrun its deadline and grow its per-projection
+records (ROADMAP item 1).  A homology class (``HomologyClass``) is a
+``Combination`` over those representatives, graded by their internal
+degrees.
 """
 
 from __future__ import annotations
@@ -213,12 +216,10 @@ def exterior_basis(basis: NilpotentBasis, p: int, d: int) -> tuple[IndexTuple, .
 
 
 @functools.lru_cache(maxsize=None)
-def multidegree_blocks(basis: NilpotentBasis, p: int,
-                       d: int) -> dict[tuple[int, ...], tuple[tuple[int, ...],
-                                                              tuple[IndexTuple, ...]]]:
+def multidegree_blocks(basis: NilpotentBasis, p: int, d: int) -> dict:
     """The tuples of ``exterior_basis(basis, p, d)`` grouped by multidegree:
-    each multidegree maps to its tuples' positions in that basis and the
-    tuples themselves, both in lex order.  Shared; do not mutate."""
+    {multidegree: (positions in that basis, tuples)}, each group in lex
+    order.  Shared between callers; do not mutate."""
     groups: dict = {}
     for j, t in enumerate(exterior_basis(basis, p, d)):
         positions, tuples = groups.setdefault(basis.multidegree(t), ([], []))
@@ -307,12 +308,12 @@ class HomologyBasis:
                 out[j] = x
             return out
 
-        for m, (rows, tuples) in multidegree_blocks(self.basis, self.p, d).items():
+        for m, (rows, _) in multidegree_blocks(self.basis, self.p, d).items():
             kernel = linalg.kernel(_boundary_columns(self.basis, self.p, d, m)[0])
             image_cols, _ = _boundary_columns(self.basis, self.p + 1, d, m)
             candidates = image_cols + kernel
             _, pivots = linalg.rref([[col[r] for col in candidates]
-                                     for r in range(len(tuples))])
+                                     for r in range(len(rows))])
             split = len(image_cols)
             positions = sources.get(m, ((), ()))[0]
             for c in pivots:

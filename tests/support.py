@@ -206,7 +206,8 @@ def rref_reference(rows):
 
     An oracle for the fraction-free ``linalg.rref``: the same pivot rule
     (leftmost column, first nonzero row at or below the current one), with
-    one Fraction multiply and subtract per cell.
+    one Fraction multiply and subtract per cell whose column holds a
+    nonzero entry of the pivot row (the other cells cannot change).
     """
     m = [row[:] for row in rows]
     if not m:
