@@ -206,8 +206,9 @@ def rref_reference(rows):
 
     An oracle for the fraction-free ``linalg.rref``: the same pivot rule
     (leftmost column, first nonzero row at or below the current one), with
-    one Fraction multiply and subtract per cell whose column holds a
-    nonzero entry of the pivot row (the other cells cannot change).
+    one Fraction division per nonzero pivot-row entry and one multiply and
+    subtract per cell whose column holds a nonzero entry of the pivot row
+    (the other cells cannot change).
     """
     m = [row[:] for row in rows]
     if not m:
@@ -221,7 +222,7 @@ def rref_reference(rows):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r] = [x / pv if x else x for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
