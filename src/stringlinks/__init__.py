@@ -18,7 +18,6 @@ from .trees import (TreeCombination, TreeDiagram, enumerate_trees, eta,
                     eta_combination, eta_inverse, fission, fission_combination)
 from .koszul import (ExteriorChain, HomologyBasis, HomologyClass, NilpotentBasis,
                      NotACycleError, boundary, exterior_basis, homology,
-                     nilpotent_basis, phi_class)
+                     nilpotent_basis, phi_class, solve_boundary)
 from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
-                     required_truncation, sigma, solve_boundary,
-                     verify_commutative_diagram)
+                     required_truncation, sigma, verify_commutative_diagram)

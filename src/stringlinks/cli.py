@@ -26,9 +26,10 @@ file whose strand count differs from ``--n``), 4 internal invariant
 failure.  Scale covers a braid word of more than ``words.MAX_LETTERS``
 (3 * 10**6) letters once expanded, refused before the word is built,
 longitude words growing past that many letters in total, and tree degrees
-beyond ``trees.MAX_DEGREE`` or ``MAX_COLORS``, which ``morita`` and
-refined ``verify`` refuse before any series work.  Every Milnor value is
-a degree window lo..hi of the total invariant, needing truncation hi + 1.
+beyond ``trees.MAX_DEGREE`` or ``MAX_COLORS``, which ``trees``,
+``morita`` and refined ``verify`` refuse before any series work.  Every
+Milnor value is a degree window lo..hi of the total invariant, needing
+truncation hi + 1.
 All randomness is seed-controlled and echoed in the output, and output is
 byte-deterministic given the configuration.
 """
@@ -366,6 +367,7 @@ def cmd_expansion(args) -> int:
 
 def cmd_trees(args) -> int:
     data = _resolve_input(args)
+    enumerate_trees(args.n, 2 * args.k - 1)  # refuses eta_inverse's span up front
     theta, meta = _resolve_expansion(args, 2 * args.k)
     comb = eta_inverse(milnor_window(data, theta, args.k, 2 * args.k - 1))
     entries = [{"tree": str(t), "degree": t.degree, "coefficient": str(c)}

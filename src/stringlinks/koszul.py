@@ -11,17 +11,19 @@ so in particular d_2(a ^ b) = -[a, b].  The boundary preserves the
 internal degree (the sum of member degrees), so homology is held per
 internal-degree block.  It also preserves the multidegree (the letter
 content of a tuple's members, which the Lyndon structure constants keep),
-so each block is the direct sum of its multidegree parts, and building a
-homology basis eliminates one part at a time (``multidegree_blocks``).  A
-homology block is read off the reduced echelon forms of
-``[image | kernel]`` on its parts: their pivot columns are the columns
-that raise the rank, left to right in Lyndon-lexicographic tuple order.
-Left-to-right pivoting on a direct sum picks in each summand what it
-picks on that summand alone, so the whole-block vectors put back together
-from the parts are exactly those of one elimination on the whole block,
-and homology bases and projections are reproducible across runs.
-Projection (``HomologyBasis.project``) still solves on whole blocks: the
-koszul-h3 benchmark runs a fixed span of projection time, and much faster
+so each block is the direct sum of its multidegree parts
+(``multidegree_blocks``).  The homology basis build and the bounding
+solve (``solve_boundary``) both work one part at a time, on d_p built on
+that part alone (``_boundary_columns``).  A homology block is read off
+the reduced echelon forms of ``[image | kernel]`` on its parts: their
+pivot columns are the columns that raise the rank, left to right in
+Lyndon-lexicographic tuple order.  Left-to-right pivoting on a direct
+sum picks in each summand what it picks on that summand alone, so the
+whole-block vectors put back together from the parts are exactly those
+of one elimination on the whole block, and homology bases and
+projections are reproducible across runs.  Projection
+(``HomologyBasis.project``) still solves on whole blocks: the koszul-h3
+benchmark runs a fixed span of projection time, and much faster
 projections would overrun its deadline and grow its per-projection
 records (ROADMAP item 1).  A homology class (``HomologyClass``) is a
 ``Combination`` over those representatives, graded by their internal
@@ -229,16 +231,12 @@ def multidegree_blocks(basis: NilpotentBasis, p: int, d: int) -> dict:
 
 
 def _boundary_columns(basis: NilpotentBasis, p: int, d: int,
-                      multidegree: tuple[int, ...] | None = None
+                      multidegree: tuple[int, ...]
                       ) -> tuple[list, tuple[IndexTuple, ...]]:
-    """Columns of d_p on the degree-d block, or on its part of one
-    multidegree, plus the codomain tuple list."""
-    if multidegree is None:
-        domain = exterior_basis(basis, p, d)
-        codomain = exterior_basis(basis, p - 1, d)
-    else:
-        domain = multidegree_blocks(basis, p, d).get(multidegree, ((), ()))[1]
-        codomain = multidegree_blocks(basis, p - 1, d).get(multidegree, ((), ()))[1]
+    """Columns of d_p on the part of the degree-d block of one multidegree,
+    plus the codomain tuple list."""
+    domain = multidegree_blocks(basis, p, d).get(multidegree, ((), ()))[1]
+    codomain = multidegree_blocks(basis, p - 1, d).get(multidegree, ((), ()))[1]
     if not codomain:  # nothing to land on: d_p is zero here
         return [[] for _ in domain], codomain
     return ([boundary(ExteriorChain(basis, p, {t: Q1})).vector(codomain)
@@ -265,6 +263,41 @@ class HomologyBlock:
         self.image_basis = image_basis
         self.reps = reps
         self.cycles = cycles
+
+
+def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> ExteriorChain:
+    """A 3-chain t with boundary equal to the given 2-cycle.
+
+    Solved per multidegree part of each internal-degree block (d_3 keeps
+    the multidegree) with the deterministic row-reduced solution, which is
+    the whole block's solution restricted to the part; ``pivot_order``
+    "forward" or "backward" selects the column preference, giving two
+    genuinely different solutions on underdetermined blocks (the final
+    homology class must not see the difference).
+    Raises when no solution exists, which for in-contract inputs means a bug.
+    """
+    if pivot_order not in ("forward", "backward"):
+        raise ValueError(f"unknown pivot order {pivot_order!r}")
+    if not boundary(target).is_zero():
+        raise NotACycleError("boundary target is not a cycle")
+    basis = target.basis
+    parts: dict = {}  # the target's terms by multidegree; d_3 keeps it
+    for t, c in target.coeffs.items():
+        parts.setdefault(basis.multidegree(t), {})[t] = c
+    coords = {}
+    for m, part in parts.items():
+        d = sum(m)
+        columns, codomain = _boundary_columns(basis, 3, d, m)
+        rhs = ExteriorChain(basis, 2, part).vector(codomain)
+        order = None
+        if pivot_order == "backward":
+            order = list(range(len(columns)))[::-1]
+        sol = linalg.solve(columns, rhs, column_order=order)
+        if sol is None:
+            raise RuntimeError(f"no bounding 3-chain in internal degree {d}; "
+                               "H_2 triviality must have been violated")
+        coords.update(zip(multidegree_blocks(basis, 3, d)[m][1], sol))
+    return ExteriorChain(basis, 3, coords)
 
 
 class HomologyBasis:

@@ -10,7 +10,8 @@ bracket contraction, which speciality kills).  The paper's sum runs to
 l = 2k+1, but that top term has internal degree 2k+2: it is a cycle on its
 own (its bracket lies beyond the class-(2k+1) quotient) and it dies in the
 reduction to the class-2k quotient, so nothing below reads it.  That
-reduction bounds; a solution t_L of  d_3 t = {sigma_L}  reduces to
+reduction bounds; a solution t_L of  d_3 t = {sigma_L}
+(``koszul.solve_boundary``, one solve per multidegree part) reduces to
 a 3-cycle in the class-k quotient whose homology class is the refined
 invariant.  The class does not depend on the choice of t_L, is additive
 under stacking, agrees with the fission route through tree diagrams, and
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 from . import linalg
 from .expansions import Expansion
-from .koszul import (ExteriorChain, HomologyClass, NotACycleError,
-                     _boundary_columns, boundary, homology,
-                     multidegree_blocks, nilpotent_basis, phi_class)
+from .koszul import (ExteriorChain, HomologyClass, boundary, homology,
+                     nilpotent_basis, phi_class, solve_boundary)
 from .lie import HTensorLie, LieElement
 from .milnor import milnor_window
 from .linalg import Q1
@@ -79,41 +79,6 @@ def sigma(inp: MoritaInput) -> ExteriorChain:
         raise RuntimeError("sigma is not a cycle; speciality of the Artin "
                            "data must have been violated")
     return chain
-
-
-def solve_boundary(target: ExteriorChain, pivot_order: str = "forward") -> ExteriorChain:
-    """A 3-chain t with boundary equal to the given 2-cycle.
-
-    Solved per multidegree part of each internal-degree block (d_3 keeps
-    the multidegree) with the deterministic row-reduced solution, which is
-    the whole block's solution restricted to the part; ``pivot_order``
-    "forward" or "backward" selects the column preference, giving two
-    genuinely different solutions on underdetermined blocks (the final
-    homology class must not see the difference).
-    Raises when no solution exists, which for in-contract inputs means a bug.
-    """
-    if pivot_order not in ("forward", "backward"):
-        raise ValueError(f"unknown pivot order {pivot_order!r}")
-    if not boundary(target).is_zero():
-        raise NotACycleError("boundary target is not a cycle")
-    basis = target.basis
-    parts: dict = {}  # the target's terms by multidegree; d_3 keeps it
-    for t, c in target.coeffs.items():
-        parts.setdefault(basis.multidegree(t), {})[t] = c
-    coords = {}
-    for m, part in parts.items():
-        d = sum(m)
-        columns, codomain = _boundary_columns(basis, 3, d, m)
-        rhs = ExteriorChain(basis, 2, part).vector(codomain)
-        order = None
-        if pivot_order == "backward":
-            order = list(range(len(columns)))[::-1]
-        sol = linalg.solve(columns, rhs, column_order=order)
-        if sol is None:
-            raise RuntimeError(f"no bounding 3-chain in internal degree {d}; "
-                               "H_2 triviality must have been violated")
-        coords.update(zip(multidegree_blocks(basis, 3, d)[m][1], sol))
-    return ExteriorChain(basis, 3, coords)
 
 
 def morita_milnor(inp: MoritaInput, pivot_order: str = "forward") -> HomologyClass:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from stringlinks import Braid, build_special, filtration_degree
-from stringlinks.koszul import (ExteriorChain, _boundary_columns, exterior_basis,
+from stringlinks.koszul import (ExteriorChain, boundary, exterior_basis,
                                 nilpotent_basis)
 from stringlinks.lie import (LieElement, bracket_map_matrix, lyndon_words,
                              standard_factorization)
@@ -260,6 +260,16 @@ def kernel_reference(columns):
     return out
 
 
+def boundary_columns_reference(basis, p, d):
+    """Columns of d_p on the whole internal-degree-d block, over
+    ``exterior_basis`` in both degrees: the boundary of each unit p-chain.
+    An oracle for ``koszul._boundary_columns``, which builds one
+    multidegree part at a time."""
+    codomain = exterior_basis(basis, p - 1, d)
+    return [boundary(ExteriorChain(basis, p, {t: Q1})).vector(codomain)
+            for t in exterior_basis(basis, p, d)]
+
+
 def homology_blocks_reference(p, n, cap):
     """{d: (image basis, reps, cycles)} of H_p of the class-cap quotient by one
     elimination on each whole internal-degree block, on the Fraction oracle:
@@ -271,8 +281,8 @@ def homology_blocks_reference(p, n, cap):
         domain = exterior_basis(basis, p, d)
         if not domain:
             continue
-        kernel = kernel_reference(_boundary_columns(basis, p, d)[0])
-        image_cols = _boundary_columns(basis, p + 1, d)[0]
+        kernel = kernel_reference(boundary_columns_reference(basis, p, d))
+        image_cols = boundary_columns_reference(basis, p + 1, d)
         candidates = image_cols + kernel
         _, pivots = rref_reference([[col[r] for col in candidates]
                                     for r in range(len(domain))])
@@ -285,11 +295,11 @@ def homology_blocks_reference(p, n, cap):
 def solve_boundary_reference(target, pivot_order="forward"):
     """A 3-chain bounding the 2-cycle ``target`` by one solve on each whole
     internal-degree block, with the pivot preference reversed for
-    "backward": an oracle for ``morita.solve_boundary``."""
+    "backward": an oracle for ``koszul.solve_boundary``."""
     basis = target.basis
     coords = {}
     for d in target.degrees():
-        columns = _boundary_columns(basis, 3, d)[0]
+        columns = boundary_columns_reference(basis, 3, d)
         order = list(range(len(columns)))[::-1] if pivot_order == "backward" else None
         sol = solve(columns, target.degree_component(d).vector(exterior_basis(basis, 2, d)),
                     column_order=order)

@@ -128,10 +128,15 @@ def test_oversized_braid_work_exit_code(capsys, argv):
     ["morita", "--n", "3", "--k", "3", "--braid", "[A(1,2),[A(1,3),[A(2,3),A(1,2)]]]"],
     ["verify", "--n", "3",
      "--braid", "[A(1,2),[A(1,3),[A(2,3),[A(1,2),A(1,3)]]]]"],
-], ids=["morita-colors", "verify-k", "morita-degree", "verify-level-5"])
+    # its (4,8) build ran out of memory before the span was met
+    ["trees", "--n", "4", "--k", "4"],
+    # the identity braid's window is zero, so eta_inverse never met its span
+    ["trees", "--n", "3", "--k", "4", "--braid", ""],
+], ids=["morita-colors", "verify-k", "morita-degree", "verify-level-5",
+        "trees-degree", "trees-zero-window"])
 def test_tree_limit_refused_up_front(capsys, argv):
-    # the tree span of d2_composition is beyond the enumeration limits:
-    # refused before any expansion is built
+    # the tree span of d2_composition or of eta_inverse is beyond the
+    # enumeration limits: refused before any expansion is built
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == EXIT_PRECONDITION
@@ -583,7 +588,7 @@ def cli_argv(draw, directory):
         argv += ["--trunc", str(trunc)] if trunc is not None else []
         argv += ["--k", str(k)] if k is not None else []
     elif command == "trees":
-        argv += ["--k", str(draw(st.sampled_from([2, 1] * 3 + [0])))]
+        argv += ["--k", str(draw(st.sampled_from([2, 1] * 3 + [4, 0])))]
     elif command == "morita":
         argv += ["--k", "1"]
     elif command == "level":

@@ -10,7 +10,8 @@ from stringlinks.koszul import (ExteriorChain, HomologyClass, NotACycleError,
 from stringlinks.lie import LieElement, d_dimension, witt_dim
 from stringlinks.trees import TreeCombination, TreeDiagram, enumerate_trees
 
-from support import column_rank, homology_blocks_reference, seeded
+from support import (boundary_columns_reference, column_rank,
+                     homology_blocks_reference, seeded)
 
 
 def random_chain(basis, p, rng, density=0.15):
@@ -231,21 +232,22 @@ def test_pinned_homology_bases(p, n, cap, fingerprint, dimension):
     assert h.fingerprint() == fingerprint
     assert h.dimension == dimension
     for d, row in h.degree_table().items():
-        columns, _ = _boundary_columns(h.basis, p, d)
+        columns = boundary_columns_reference(h.basis, p, d)
         assert row["cycles"] == row["chains"] - column_rank(columns)
 
 
 def test_boundary_columns_are_exact_fractions():
-    # the columns are kept as boundary images and fed to rref_reference through
-    # column_rank; int entries would turn into floats in its division
+    # d_p on every multidegree part: one exact Fraction per codomain tuple of
+    # the part, since a block's image basis is kept from these columns
     basis = nilpotent_basis(3, 2)
     for p in (2, 3, 4):
         for d in range(p, 2 * p + 1):
-            columns, codomain = _boundary_columns(basis, p, d)
-            assert len(columns) == len(exterior_basis(basis, p, d))
-            for col in columns:
-                assert len(col) == len(codomain)
-                assert all(type(c) is Fraction for c in col)
+            for m, (_, tuples) in multidegree_blocks(basis, p, d).items():
+                columns, codomain = _boundary_columns(basis, p, d, m)
+                assert len(columns) == len(tuples)
+                for col in columns:
+                    assert len(col) == len(codomain)
+                    assert all(type(c) is Fraction for c in col)
 
 
 @pytest.mark.parametrize("p, n, cap, fingerprint, dimension", [
