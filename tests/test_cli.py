@@ -128,9 +128,9 @@ def test_oversized_braid_work_exit_code(capsys, argv):
     ["morita", "--n", "3", "--k", "3", "--braid", "[A(1,2),[A(1,3),[A(2,3),A(1,2)]]]"],
     ["verify", "--n", "3",
      "--braid", "[A(1,2),[A(1,3),[A(2,3),[A(1,2),A(1,3)]]]]"],
-    # its (4,8) build ran out of memory before the span was met
+    # refused before its (4,8) build, which runs out of memory
     ["trees", "--n", "4", "--k", "4"],
-    # the identity braid's window is zero, so eta_inverse never met its span
+    # refused although the window is zero and eta_inverse would meet no tree
     ["trees", "--n", "3", "--k", "4", "--braid", ""],
 ], ids=["morita-colors", "verify-k", "morita-degree", "verify-level-5",
         "trees-degree", "trees-zero-window"])

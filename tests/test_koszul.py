@@ -237,8 +237,8 @@ def test_pinned_homology_bases(p, n, cap, fingerprint, dimension):
 
 
 def test_boundary_columns_are_exact_fractions():
-    # d_p on every multidegree part: one exact Fraction per codomain tuple of
-    # the part, since a block's image basis is kept from these columns
+    # d_p on every multidegree part: one column per tuple of the part, each
+    # an exact Fraction per codomain tuple of the part
     basis = nilpotent_basis(3, 2)
     for p in (2, 3, 4):
         for d in range(p, 2 * p + 1):
