@@ -15,9 +15,10 @@ from .expansions import (Expansion, SpecialityReport, build_special, exp_expansi
 from .milnor import (FiltrationError, SpecialAutData, milnor_degree, milnor_window,
                      special_artin, total_milnor, truncated_milnor)
 from .trees import (TreeCombination, TreeDiagram, enumerate_trees, eta,
-                    eta_combination, eta_inverse, fission, fission_combination)
+                    eta_combination, eta_inverse)
 from .koszul import (ExteriorChain, HomologyBasis, HomologyClass, NilpotentBasis,
-                     NotACycleError, boundary, exterior_basis, homology,
-                     nilpotent_basis, phi_class, solve_boundary)
+                     NotACycleError, boundary, exterior_basis, fission,
+                     fission_combination, homology, nilpotent_basis, phi_class,
+                     solve_boundary)
 from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
                      required_truncation, sigma, verify_commutative_diagram)

@@ -19,17 +19,17 @@ strand}.
 
 Exit codes: 0 success, 2 argument or input parse error (including
 ``--n``, ``--k``, ``--trunc`` or ``--max-k`` below 1, ``homology --k``
-below 2, brackets nested too deeply, a JSON input file of the wrong shape
-or encoding, and an input path that cannot be read), 3 violated
-mathematical precondition (filtration, speciality, scale, a longitude
-file whose strand count differs from ``--n``), 4 internal invariant
-failure.  Scale covers a braid word of more than ``words.MAX_LETTERS``
-(3 * 10**6) letters once expanded, refused before the word is built,
-longitude words growing past that many letters in total, and tree degrees
-beyond ``trees.MAX_DEGREE`` or ``MAX_COLORS``, which ``trees``,
-``morita`` and refined ``verify`` refuse before any series work.  Every
-Milnor value is a degree window lo..hi of the total invariant, needing
-truncation hi + 1.
+below 2, ``milnor`` without ``--k`` outside ``--mode total``, brackets
+nested too deeply, a JSON input file of the wrong shape or encoding, and
+an input path that cannot be read), 3 violated mathematical precondition
+(filtration, speciality, scale, a longitude file whose strand count
+differs from ``--n``), 4 internal invariant failure.  Scale covers a
+braid word of more than ``words.MAX_LETTERS`` (3 * 10**6) letters once
+expanded, refused before the word is built, longitude words growing past
+that many letters in total, and tree degrees beyond ``trees.MAX_DEGREE``
+or ``MAX_COLORS``, which ``trees``, ``morita`` and refined ``verify``
+refuse before any series work.  Every Milnor value is a degree window
+lo..hi of the total invariant, needing truncation hi + 1.
 All randomness is seed-controlled and echoed in the output, and output is
 byte-deterministic given the configuration.
 """
@@ -46,9 +46,9 @@ from . import __version__
 from .expansions import (Expansion, build_special, filtration_degree,
                          is_special)
 from .koszul import NotACycleError, homology
-from .milnor import FiltrationError, milnor_degree, milnor_window, special_artin
+from .milnor import FiltrationError, milnor_window, special_artin
 from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
-                     required_truncation, sigma)
+                     required_truncation)
 from .trees import enumerate_trees, eta_inverse
 from .words import (MAX_LETTERS, Braid, LongitudeTuple, ScaleError, Word,
                     commutator, longitudes)
@@ -250,7 +250,7 @@ def load_longitude_tuple(path: str) -> LongitudeTuple:
     doc = _load_json(path, _longitude_shape, 'a longitude tuple {"n": int, '
                      '"truncation": int >= 1 or null, "words": [[[gen, exp], ...], ...]}')
     n = doc["n"]
-    words = tuple(Word.of(n, (tuple(l) for l in letters)) for letters in doc["words"])
+    words = tuple(Word(n, letters) for letters in doc["words"])
     return LongitudeTuple(n, words, doc.get("truncation"))
 
 
@@ -307,7 +307,7 @@ def _output_dir(args) -> str:
 def cmd_milnor(args) -> int:
     data = _resolve_input(args)
     if args.mode != "total" and args.k is None:
-        raise ValueError(f"--k is required for mode {args.mode}")
+        raise ParseError(f"--k is required for mode {args.mode}")
     if args.mode == "total":
         lo, hi = 1, args.trunc or (2 * (args.k or 1) + 1)
     else:
@@ -457,15 +457,13 @@ def cmd_verify(args) -> int:
         checks.append((f"input is at least level {k}; refined checks skipped", True))
     elif k >= 2:
         inp = MoritaInput(data, theta, k - 1)
-        sigma(inp)
-        checks.append(("sigma is a 2-cycle", True))  # sigma() raises otherwise
-        lhs, rhs = diagram_sides(inp)
+        lhs, rhs = diagram_sides(inp)  # raises unless sigma is a 2-cycle
+        checks.append(("sigma is a 2-cycle", True))
         checks.append(("commutative diagram", lhs == rhs))
         checks.append((
             "class independent of the bounding chain",
             lhs == morita_milnor(inp, "backward")))
-        checks.append((f"d2 composition equals mu_{k}",
-                       d2_composition(lhs) == milnor_degree(data, theta, k)))
+        checks.append((f"d2 composition equals mu_{k}", d2_composition(lhs) == deg))
     ok = all(flag for _, flag in checks)
     doc = {"command": "verify", "n": args.n, "k": k, **meta,
            "checks": [{"name": name, "ok": flag} for name, flag in checks],

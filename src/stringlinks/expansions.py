@@ -24,14 +24,15 @@ closed-form sweep of ``lie.conjugating_element``, independent of the
 builder's ``rref`` and bracket matrices.
 
 A word is multiplied out under a generator map by one loop,
-``_word_image``: short words under theta itself, and long words through
-their integer Magnus images (``magnus_integer``, and
-``braid_magnus_images`` for the longitudes of a braid, whose cost does not
-grow with the longitudes' length).  It multiplies each letter into one
-accumulator in place, acc <- acc + acc (f - 1), with no new series per
-letter.  Magnus images stay integer-coded series, and the substitution
-S(X_j) = theta(x_j) - 1 maps one to theta(word) by one linear
-combination.  Every product here runs through the shared kernel of ``tensor``.
+``_word_image``: the boundary word x_1 ... x_n and short words under theta
+itself, and long words through their integer Magnus images
+(``magnus_integer``, and ``braid_magnus_images`` for the longitudes of a
+braid, whose cost does not grow with the longitudes' length).  It
+multiplies each letter into one accumulator in place, acc <- acc + acc
+(f - 1), with no new series per letter.  Magnus images stay integer-coded
+series, and the substitution S(X_j) = theta(x_j) - 1 maps one to
+theta(word) by one linear combination.  Every product here runs through
+the shared kernel of ``tensor``.
 """
 
 from __future__ import annotations
@@ -165,9 +166,8 @@ class Expansion:
         return Substitution([img.truncate(trunc) - one for img in self.images])
 
     def boundary_image(self) -> TensorSeries:
-        if self.n == 1:  # free group machinery wants rank >= 2
-            return self.images[0]
-        return self.evaluate(Word.of(self.n, ((k, 1) for k in range(1, self.n + 1))))
+        """theta(x_1 ... x_n), the product of the images in order."""
+        return _word_image([(k, 1) for k in range(1, self.n + 1)], list(self.images), {})
 
     # -- serialisation -----------------------------------------------------
 

@@ -28,6 +28,10 @@ projections would overrun its deadline and grow its per-projection
 records (ROADMAP item 1).  A homology class (``HomologyClass``) is a
 ``Combination`` over those representatives, graded by their internal
 degrees.
+
+``fission`` wedges the branch Lie elements of each trivalent vertex of a
+tree diagram (``trees.TreeDiagram.trivalent_branches``, its only reader,
+so neither module imports the other); ``phi_class`` projects the chain.
 """
 
 from __future__ import annotations
@@ -458,14 +462,34 @@ class HomologyClass(Combination):
                          for k, c in sorted(self.coeffs.items())) or "0"
 
 
+def fission(diagram, basis: NilpotentBasis) -> ExteriorChain:
+    """The 3-chain sum_r comm(T_r^(3)) ^ comm(T_r^(2)) ^ comm(T_r^(1)) of a
+    ``trees.TreeDiagram``, whose boundary is sum_v col(v) ^ comm(T_v).
+
+    Branch Lie elements of degree beyond the basis cap are dropped, which
+    is exactly the reduction of the chain into the nilpotent quotient.
+    """
+    if basis.n != diagram.n:
+        raise ValueError("color count does not match the basis")
+    chain = ExteriorChain.zero(basis, 3)
+    for l1, l2, l3 in diagram.trivalent_branches():
+        chain = chain + ExteriorChain.wedge(basis, [l3, l2, l1])
+    return chain
+
+
+def fission_combination(comb, basis: NilpotentBasis) -> ExteriorChain:
+    out = ExteriorChain.zero(basis, 3)
+    for diagram, c in comb.coeffs.items():
+        out = out + fission(diagram, basis).scale(c)
+    return out
+
+
 def phi_class(comb, k: int) -> HomologyClass:
     """Class in H_3 of the class-(k-1) quotient defined by fission.
 
     The tree combination must have degrees within [k, 2k-2]; fission shifts
     internal degree by +1 and the reduced chain is a cycle.
     """
-    from .trees import fission_combination  # deferred: trees imports this module
-
     for d in comb.degrees():
         if not k <= d <= 2 * k - 2:
             raise ValueError(f"tree degree {d} outside [k, 2k-2] = [{k}, {2 * k - 2}]")

@@ -1,4 +1,4 @@
-"""Colored tree Jacobi diagrams modulo antisymmetry; comm, eta and fission.
+"""Colored tree Jacobi diagrams modulo antisymmetry; comm and eta.
 
 A diagram of degree l is a connected tree with l+1 univalent leaves, each
 carrying a color in {1..n}, and l-1 trivalent vertices, each carrying a
@@ -22,12 +22,10 @@ and all quotient-level questions are settled by linear algebra on eta
 images, which is safe because eta kills IHX relators (property-tested).
 
 ``comm`` assigns to a rooted diagram the iterated Lie bracket of its leaf
-colors, ``eta`` sums col(v) (x) comm over all rootings, and ``fission``
-splits the diagram at each trivalent vertex r into the wedge
-comm(branch 3) ^ comm(branch 2) ^ comm(branch 1) of its three branches
-numbered along the cyclic order.  With these conventions the boundary of
-a fission chain equals sum_v col(v) ^ comm(T_v) exactly, which the
-acceptance suite checks for every enumerated tree.
+colors, and ``eta`` sums col(v) (x) comm over all rootings.
+``trivalent_branches`` gives, at each trivalent vertex, the Lie elements
+of its three branches numbered along the cyclic order; ``koszul.fission``
+wedges them into a 3-chain of the Koszul complex.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ import functools
 from fractions import Fraction
 
 from . import linalg
-from .koszul import ExteriorChain, NilpotentBasis
 from .lie import HTensorLie, LieElement
 from .linalg import Combination, add_to
 from .words import ScaleError, Value
@@ -153,9 +150,9 @@ class TreeDiagram(Value):
         _, expr = pres[leaf_index]
         return _expr_lie(self.n, expr)
 
-    def trivalent_branches(self) -> list[tuple]:
-        """For each trivalent vertex, its three branch expressions in cyclic order."""
-        return [(context, node[1], node[0])
+    def trivalent_branches(self) -> list[tuple[LieElement, ...]]:
+        """For each trivalent vertex, its three branch Lie elements in cyclic order."""
+        return [tuple(_expr_lie(self.n, b) for b in (context, node[1], node[0]))
                 for node, context in _walk(self.expr, self.root)
                 if not isinstance(node, int)]
 
@@ -310,27 +307,3 @@ def eta_inverse(value: HTensorLie) -> TreeCombination:
                                "this indicates an enumeration bug")
         coeffs.update(zip(span, sol))
     return TreeCombination(n, coeffs)
-
-
-def fission(diagram: TreeDiagram, basis: NilpotentBasis) -> ExteriorChain:
-    """The 3-chain sum_r comm(T_r^(3)) ^ comm(T_r^(2)) ^ comm(T_r^(1)).
-
-    Branch Lie elements of degree beyond the basis cap are dropped, which
-    is exactly the reduction of the chain into the nilpotent quotient.
-    """
-    if basis.n != diagram.n:
-        raise ValueError("color count does not match the basis")
-    chain = ExteriorChain.zero(basis, 3)
-    for b1, b2, b3 in diagram.trivalent_branches():
-        l1 = _expr_lie(diagram.n, b1)
-        l2 = _expr_lie(diagram.n, b2)
-        l3 = _expr_lie(diagram.n, b3)
-        chain = chain + ExteriorChain.wedge(basis, [l3, l2, l1])
-    return chain
-
-
-def fission_combination(comb: TreeCombination, basis: NilpotentBasis) -> ExteriorChain:
-    out = ExteriorChain.zero(basis, 3)
-    for diagram, c in comb.coeffs.items():
-        out = out + fission(diagram, basis).scale(c)
-    return out

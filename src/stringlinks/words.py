@@ -2,9 +2,10 @@
 
 Conventions, fixed once and used consistently everywhere:
 
-* ``F_n`` has generators ``x_1, ..., x_n`` (n >= 2).  Words are stored
-  freely reduced as tuples of ``(generator, exponent)`` with exponent
-  ``+1`` or ``-1``.
+* ``F_n`` has generators ``x_1, ..., x_n`` (n >= 2).  ``Word(n, letters)``
+  is the one constructor of a word: it checks every letter of any sequence
+  of ``(generator, exponent)`` pairs, exponent ``+1`` or ``-1``, and stores
+  its free reduction as a tuple.
 
 * The pure braid group on n strands is generated by the band generators
   ``A_ij`` (1 <= i < j <= n).  The positive generator acts on the free
@@ -82,27 +83,23 @@ def _reduce(letters) -> tuple[Letter, ...]:
 
 
 class Word(Value):
-    """A freely reduced word in the free group on ``x_1 .. x_n``."""
+    """A word in the free group on ``x_1 .. x_n``: any letter sequence, stored
+    freely reduced.  Each letter is checked first, so an invalid one cannot
+    cancel against its inverse and pass."""
 
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: tuple[Letter, ...]):
-        self.n = n
-        self.letters = letters
-        if self.n < 2:
+    def __init__(self, n: int, letters):
+        if n < 2:
             raise ValueError("free group rank must be at least 2")
-        for g, e in self.letters:
-            if not 1 <= g <= self.n:
-                raise ValueError(f"generator index {g} out of range 1..{self.n}")
+        letters = tuple(letters)
+        for g, e in letters:
+            if not 1 <= g <= n:
+                raise ValueError(f"generator index {g} out of range 1..{n}")
             if e not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {e}")
-        if self.letters != _reduce(self.letters):
-            raise ValueError("word is not freely reduced; use Word.of")
-
-    @classmethod
-    def of(cls, n: int, letters) -> "Word":
-        """Build a word from any letter sequence, reducing it freely."""
-        return cls(n, _reduce(letters))
+        self.n = n
+        self.letters = _reduce(letters)
 
     @classmethod
     def identity(cls, n: int) -> "Word":
@@ -118,14 +115,14 @@ class Word(Value):
     def __mul__(self, other: "Word") -> "Word":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return Word(self.n, _reduce(self.letters + other.letters))
+        return Word(self.n, self.letters + other.letters)
 
     def inverse(self) -> "Word":
         return Word(self.n, tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
         base = self if k >= 0 else self.inverse()
-        return Word.of(self.n, base.letters * abs(k))
+        return Word(self.n, base.letters * abs(k))
 
     def exponent_sum(self, i: int) -> int:
         return sum(e for g, e in self.letters if g == i)
@@ -270,11 +267,11 @@ class LongitudeTuple(Value):
             y = self.words[g - 1]
             conj = y * Word.gen(self.n, g) * y.inverse()
             pieces.append(conj.letters if ex == 1 else conj.inverse().letters)
-        return Word.of(self.n, itertools.chain.from_iterable(pieces))
+        return Word(self.n, itertools.chain.from_iterable(pieces))
 
     def boundary_defect(self) -> Word:
         """The word ``phi(x_1...x_n) (x_1...x_n)^-1``; trivial for braid data."""
-        boundary = Word.of(self.n, ((k, 1) for k in range(1, self.n + 1)))
+        boundary = Word(self.n, ((k, 1) for k in range(1, self.n + 1)))
         return self.substituted(boundary) * boundary.inverse()
 
 
@@ -298,8 +295,8 @@ def longitudes(braid: Braid) -> LongitudeTuple:
         flip = {(g, e): (g, -e) for g, e in set(half)}
         if letters != half + ((i, 1),) + tuple(map(flip.get, reversed(half))):
             raise RuntimeError(f"bug in the Artin action: x_{i} maps to a non-conjugate")
-        y = Word(n, half)  # a prefix of a reduced word is reduced
-        ys.append(y * Word.gen(n, i, -y.exponent_sum(i)))
+        power = Word.gen(n, i, -sum(e for g, e in half if g == i))
+        ys.append(Word(n, half + power.letters))
     return LongitudeTuple(n, tuple(ys))
 
 

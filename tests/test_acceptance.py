@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from stringlinks.expansions import (exp_expansion, is_special,
                                     longitude_magnus_images)
-from stringlinks.koszul import (ExteriorChain, boundary, exterior_basis,
+from stringlinks.koszul import (ExteriorChain, boundary, exterior_basis, fission,
                                 homology, nilpotent_basis, phi_class)
 from stringlinks.lie import (HTensorLie, LieElement, bch, d_dimension, lyndon_words,
                              witt_dim)
@@ -175,7 +175,7 @@ def test_criterion_07_koszul_layer():
         for degree in range(1, 5):
             basis = nilpotent_basis(n, max(degree, 1))
             for t in enumerate_trees(n, degree):
-                lhs = boundary(fission_of(t, basis))
+                lhs = boundary(fission(t, basis))
                 rhs = ExteriorChain.zero(basis, 2)
                 for idx, (color, _expr) in enumerate(t.presentations()):
                     rhs = rhs + ExteriorChain.wedge(
@@ -184,11 +184,6 @@ def test_criterion_07_koszul_layer():
                 trees_checked += 1
     report(7, f"d o d = 0 on random chains up to (3,5); fission boundary "
               f"formula exact on {trees_checked} enumerated trees")
-
-
-def fission_of(t, basis):
-    from stringlinks.trees import fission
-    return fission(t, basis)
 
 
 IGUSA_ORR_CASES = [(2, 2), (2, 3), (3, 2), (3, 3)]

@@ -285,6 +285,16 @@ def test_non_numeric_coefficient_exit_code(capsys, tmp_path, coefficient):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("mode", ["degree", "truncated"])
+def test_milnor_without_k_exit_code(capsys, mode):
+    # a missing argument is an argument error, not a violated precondition
+    code, out, err = run(capsys, "milnor", "--n", "3", "--braid", "A(1,2)",
+                         "--mode", mode)
+    assert code == EXIT_PARSE
+    assert out == "" and "Traceback" not in err
+    assert f"--k is required for mode {mode}" in err
+
+
 def test_total_mode_rejects_trunc_below_one(capsys):
     code, _, err = run(capsys, "milnor", "--braid", "A(1,2)", "--n", "2",
                        "--mode", "total", "--trunc", "0")

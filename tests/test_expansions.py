@@ -29,8 +29,8 @@ def test_evaluate_is_multiplicative():
     theta = magnus_expansion(3, 4)
     rng = seeded(2)
     for _ in range(10):
-        a = Word.of(3, [(rng.randint(1, 3), rng.choice([1, -1])) for _ in range(5)])
-        b = Word.of(3, [(rng.randint(1, 3), rng.choice([1, -1])) for _ in range(5)])
+        a = Word(3, [(rng.randint(1, 3), rng.choice([1, -1])) for _ in range(5)])
+        b = Word(3, [(rng.randint(1, 3), rng.choice([1, -1])) for _ in range(5)])
         assert theta.evaluate(a * b) == theta.evaluate(a) * theta.evaluate(b)
     x1 = Word.gen(3, 1)
     assert theta.evaluate(x1.inverse()) == theta.evaluate(x1).inverse()
@@ -105,6 +105,13 @@ def test_build_special_small():
             conj = u * TensorSeries.generator(n, trunc, i).exp() * u.inverse()
             assert conj == theta.images[i - 1]
             assert is_grouplike_by_coproduct(u)
+    # the boundary image is the in-order product of the images, at n = 1 too
+    for n in (1, 2, 3):
+        theta = shared_expansion(n, 4)
+        product = TensorSeries.one(n, 4)
+        for image in theta.images:
+            product = product * image
+        assert theta.boundary_image() == product
 
 
 def test_build_special_pinned_output():
@@ -269,7 +276,7 @@ def test_magnus_integer_matches_series_route():
     theta = magnus_expansion(3, 5)
     rng = seeded(9)
     for _ in range(10):
-        w = Word.of(3, [(rng.randint(1, 3), rng.choice([1, -1]))
+        w = Word(3, [(rng.randint(1, 3), rng.choice([1, -1]))
                         for _ in range(rng.randint(0, 12))])
         assert theta.evaluate(w) == magnus_integer(3, 5, w.letters)
 
@@ -278,11 +285,11 @@ def test_dense_evaluation_matches_direct():
     theta = shared_expansion(2, 4)
     rng = seeded(15)
     letters = [(rng.randint(1, 2), rng.choice([1, -1])) for _ in range(60)]
-    w = Word.of(2, letters)
+    w = Word(2, letters)
     dense = theta.evaluate(w)  # long word: integer route
     direct = TensorSeries.one(2, 4)
     for letter in w.letters:   # one-letter words: the images and their inverses
-        direct = direct * theta.evaluate(Word.of(2, [letter]))
+        direct = direct * theta.evaluate(Word(2, [letter]))
     assert dense == direct
     assert all(type(c) is Fraction for c in direct.coeffs.values())
 

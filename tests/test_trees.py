@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from stringlinks.koszul import ExteriorChain, boundary, nilpotent_basis
+from stringlinks.koszul import (ExteriorChain, boundary, fission, fission_combination,
+                                nilpotent_basis)
 from stringlinks.lie import HTensorLie, LieElement, d_dimension
 from stringlinks.trees import (ScaleError, TreeCombination, TreeDiagram,
-                               enumerate_trees, eta, eta_combination,
-                               eta_inverse, fission, fission_combination)
+                               enumerate_trees, eta, eta_combination, eta_inverse)
 
 from support import column_rank, enumerate_trees_reference, seeded
 

@@ -15,28 +15,61 @@ letters_strategy = st.lists(
 
 
 def test_free_reduction_examples():
-    assert Word.of(3, [(1, 1), (2, 1), (2, -1)]) == Word.gen(3, 1)
-    assert Word.of(3, []) == Word.identity(3)
+    assert Word(3, [(1, 1), (2, 1), (2, -1)]) == Word.gen(3, 1)
+    assert Word(3, []) == Word.identity(3)
     comm = commutator(Word.gen(2, 1), Word.gen(2, 2))
     assert len(comm) == 4  # already reduced
 
 
 def test_word_validation():
     with pytest.raises(ValueError):
-        Word.of(2, [(3, 1)])
+        Word(2, [(3, 1)])
     with pytest.raises(ValueError):
-        Word.of(2, [(1, 2)])
-    with pytest.raises(ValueError):
-        Word(2, ((1, 1), (1, -1)))  # not reduced
+        Word(2, [(1, 2)])
+    assert Word(2, ((1, 1), (1, -1))) == Word.identity(2)  # stored reduced
+    with pytest.raises(ValueError, match="generator index 3 out of range 1..2"):
+        Word(2, ((3, 1), (3, -1)))  # checked before it could cancel
     with pytest.raises(ValueError):
         Word.identity(1)
+
+
+@st.composite
+def rank_and_letter_lists(draw):
+    """A rank n <= 4 and two letter lists in which inverse pairs often sit
+    side by side."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    letter = st.tuples(st.integers(min_value=1, max_value=n), st.sampled_from([1, -1]))
+
+    def letters():
+        out = []
+        for g, e in draw(st.lists(letter, max_size=20)):
+            out.append((g, e))
+            if draw(st.booleans()):
+                out.append((g, -e))
+        return out
+
+    return n, letters(), letters()
+
+
+@given(rank_and_letter_lists(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_constructor_reduces_any_letter_sequence(drawn, k):
+    n, a, b = drawn
+    w = Word(n, a)
+    assert all(left != (g, -e) for left, (g, e) in zip(w.letters, w.letters[1:]))
+    product = Word.identity(n)
+    for letter in a:
+        product = product * Word(n, [letter])
+    assert w == product
+    assert Word(n, a) * Word(n, b) == Word(n, a + b)
+    assert Word(n, a) ** k == Word(n, a * k)
 
 
 @given(letters_strategy)
 @settings(max_examples=60, deadline=None)
 def test_reduction_is_idempotent_and_inverse_law(letters):
-    w = Word.of(3, letters)
-    assert Word.of(3, w.letters) == w
+    w = Word(3, letters)
+    assert Word(3, w.letters) == w
     assert w * w.inverse() == Word.identity(3)
     assert (w.inverse()).inverse() == w
 
@@ -44,14 +77,14 @@ def test_reduction_is_idempotent_and_inverse_law(letters):
 @given(letters_strategy, letters_strategy)
 @settings(max_examples=40, deadline=None)
 def test_product_represents_concatenation(a, b):
-    wa, wb = Word.of(3, a), Word.of(3, b)
-    assert wa * wb == Word.of(3, tuple(a) + tuple(b))
+    wa, wb = Word(3, a), Word(3, b)
+    assert wa * wb == Word(3, tuple(a) + tuple(b))
 
 
 @given(letters_strategy)
 @settings(max_examples=30, deadline=None)
 def test_word_power_is_the_repeated_product(letters):
-    w = Word.of(3, letters)
+    w = Word(3, letters)
     for k in range(-4, 5):
         product = Word.identity(3)
         for _ in range(abs(k)):
@@ -71,7 +104,7 @@ def test_braid_power_is_the_repeated_product():
 
 
 def test_str_rendering():
-    w = Word.of(2, [(1, 1), (1, 1), (2, -1)])
+    w = Word(2, [(1, 1), (1, 1), (2, -1)])
     assert str(w) == "x1^2*x2^-1"
     assert str(Word.identity(2)) == "1"
 
@@ -96,7 +129,7 @@ def test_artin_identity_and_inverse_pairs():
 
 def test_artin_fixes_boundary_word():
     n = 4
-    boundary = Word.of(n, [(k, 1) for k in range(1, n + 1)])
+    boundary = Word(n, [(k, 1) for k in range(1, n + 1)])
     rng = seeded(11)
     for _ in range(20):
         b = random_braid(n, rng.randint(0, 8), rng)
@@ -144,7 +177,7 @@ def test_longitudes_of_generator():
     # abelianisations: [y_1] = [x_2], [y_2] = [x_1]
     assert y1.exponent_sum(1) == 0 and y1.exponent_sum(2) == 1
     assert y2.exponent_sum(1) == 1 and y2.exponent_sum(2) == 0
-    assert y1 == Word.of(2, [(1, 1), (2, 1), (1, -1)])
+    assert y1 == Word(2, [(1, 1), (2, 1), (1, -1)])
     assert y2 == Word.gen(2, 1)
 
 
