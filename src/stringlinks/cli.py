@@ -17,19 +17,24 @@ commutators and may nest and carry powers.  Longitude tuples come from
 JSON files: {"n": ..., "truncation": ..., "words": [[gen, exp], ...] per
 strand}.
 
+Every Milnor value is a degree window lo..hi of the total invariant,
+needing truncation hi + 1.  ``milnor --mode total`` reads only ``--trunc``
+(hi, default 3); the degree and truncated modes read only ``--k``.
+
 Exit codes: 0 success, 2 argument or input parse error (including
 ``--n``, ``--k``, ``--trunc`` or ``--max-k`` below 1, ``homology --k``
-below 2, ``milnor`` without ``--k`` outside ``--mode total``, brackets
-nested too deeply, a JSON input file of the wrong shape or encoding, and
-an input path that cannot be read), 3 violated mathematical precondition
-(filtration, speciality, scale, a longitude file whose strand count
-differs from ``--n``), 4 internal invariant failure.  Scale covers a
-braid word of more than ``words.MAX_LETTERS`` (3 * 10**6) letters once
-expanded, refused before the word is built, longitude words growing past
-that many letters in total, and tree degrees beyond ``trees.MAX_DEGREE``
-or ``MAX_COLORS``, which ``trees``, ``morita`` and refined ``verify``
-refuse before any series work.  Every Milnor value is a degree window
-lo..hi of the total invariant, needing truncation hi + 1.
+below 2, ``milnor --k`` missing in a mode that reads it or given in one
+that does not, ``--trunc`` outside ``--mode total``, brackets nested too
+deeply, a JSON input file of the wrong shape or encoding, and an input
+path that cannot be read), 3 violated
+mathematical precondition, reported as ``precondition violated: ...``
+(filtration, speciality, scale, an input file whose n or truncation does
+not fit), 4 internal invariant failure.  Scale covers a braid word of
+more than ``words.MAX_LETTERS`` (3 * 10**6) letters once expanded,
+refused before the word is built, longitude words growing past that many
+letters in total, and tree degrees beyond ``trees.MAX_DEGREE`` or
+``MAX_COLORS``, which ``trees``, ``morita`` and refined ``verify`` refuse
+before any series work.
 All randomness is seed-controlled and echoed in the output, and output is
 byte-deterministic given the configuration.
 """
@@ -45,10 +50,11 @@ from fractions import Fraction
 from . import __version__
 from .expansions import (Expansion, build_special, filtration_degree,
                          is_special)
-from .koszul import NotACycleError, homology
-from .milnor import FiltrationError, milnor_window, special_artin
+from .koszul import homology
+from .milnor import milnor_window, special_artin
 from .morita import (MoritaInput, d2_composition, diagram_sides, morita_milnor,
                      required_truncation)
+from .tensor import TensorSeries
 from .trees import enumerate_trees, eta_inverse
 from .words import (MAX_LETTERS, Braid, LongitudeTuple, ScaleError, Word,
                     commutator, longitudes)
@@ -255,15 +261,18 @@ def load_longitude_tuple(path: str) -> LongitudeTuple:
 
 
 def load_expansion(path: str) -> Expansion:
-    return Expansion.from_json_dict(_load_json(
-        path, _expansion_shape, 'an expansion {"n": int, "truncation": int, '
-        '"images": [[{"word": [int, ...], "coefficient": "p/q"}, ...], ...]}'))
+    doc = _load_json(path, _expansion_shape, 'an expansion {"n": int, "truncation": int, '
+                     '"images": [[{"word": [int, ...], "coefficient": "p/q"}, ...], ...]}')
+    n, trunc = doc["n"], doc["truncation"]
+    return Expansion(n, trunc, tuple(TensorSeries.from_terms(
+        n, trunc, ((tuple(t["word"]), Fraction(t["coefficient"])) for t in terms))
+        for terms in doc["images"]))
 
 
 # -- shared helpers -------------------------------------------------------------
 
 def _resolve_input(args) -> "Braid | LongitudeTuple":
-    if getattr(args, "longitude_file", None):
+    if args.longitude_file:
         data = load_longitude_tuple(args.longitude_file)
         if data.n != args.n:
             raise ValueError(f"strand count does not match: the longitude file "
@@ -273,19 +282,17 @@ def _resolve_input(args) -> "Braid | LongitudeTuple":
 
 
 def _resolve_expansion(args, trunc: int) -> tuple[Expansion, dict]:
-    spec = getattr(args, "expansion", "canonical")
-    seed = getattr(args, "seed", 0)
-    if spec == "canonical":
+    if args.expansion == "canonical":
         return build_special(args.n, trunc), {"expansion": "canonical"}
-    if spec == "randomized":
-        return (build_special(args.n, trunc, strategy="randomized", seed=seed),
-                {"expansion": "randomized", "seed": seed})
-    theta = load_expansion(spec)
+    if args.expansion == "randomized":
+        return (build_special(args.n, trunc, strategy="randomized", seed=args.seed),
+                {"expansion": "randomized", "seed": args.seed})
+    theta = load_expansion(args.expansion)
     if theta.n != args.n:
         raise ValueError(f"expansion file has n={theta.n}, expected {args.n}")
     if theta.trunc < trunc:
         raise ValueError(f"expansion file truncation {theta.trunc} < required {trunc}")
-    return theta, {"expansion": os.path.basename(spec)}
+    return theta, {"expansion": os.path.basename(args.expansion)}
 
 
 def _emit(args, document: dict, text: str) -> None:
@@ -295,22 +302,19 @@ def _emit(args, document: dict, text: str) -> None:
         print(text)
 
 
-def _output_dir(args) -> str:
-    out = getattr(args, "output_dir", None) or os.environ.get(
-        "STRINGLINKS_OUTPUT_DIR", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # -- commands -------------------------------------------------------------------
 
 def cmd_milnor(args) -> int:
     data = _resolve_input(args)
-    if args.mode != "total" and args.k is None:
-        raise ParseError(f"--k is required for mode {args.mode}")
     if args.mode == "total":
-        lo, hi = 1, args.trunc or (2 * (args.k or 1) + 1)
+        if args.k is not None:
+            raise ParseError("--k is not read in mode total; --trunc is its top degree")
+        lo, hi = 1, args.trunc or 3
     else:
+        if args.trunc is not None:
+            raise ParseError(f"--trunc is read only in mode total, not {args.mode}")
+        if args.k is None:
+            raise ParseError(f"--k is required for mode {args.mode}")
         lo, hi = args.k, (args.k if args.mode == "degree" else 2 * args.k - 1)
     theta, meta = _resolve_expansion(args, hi + 1)
     value = milnor_window(data, theta, lo, hi)
@@ -339,21 +343,22 @@ def cmd_level(args) -> int:
     return EXIT_OK
 
 
-def cmd_expansion(args) -> int:
-    if args.action == "build":
-        theta = build_special(args.n, args.trunc, strategy=args.strategy,
-                              seed=args.seed)
-        doc = theta.to_json_dict()
-        doc["strategy"] = args.strategy
-        if args.strategy == "randomized":
-            doc["seed"] = args.seed
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.out}")
-        else:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_OK
+def cmd_expansion_build(args) -> int:
+    theta = build_special(args.n, args.trunc, strategy=args.strategy, seed=args.seed)
+    doc = theta.to_json_dict()
+    doc["strategy"] = args.strategy
+    if args.strategy == "randomized":
+        doc["seed"] = args.seed
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+        print(f"wrote {args.out}")
+    else:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    return EXIT_OK
+
+
+def cmd_expansion_check(args) -> int:
     theta = load_expansion(args.file)
     report = is_special(theta)
     doc = {"command": "expansion check", "n": theta.n, "truncation": theta.trunc,
@@ -373,18 +378,18 @@ def cmd_trees(args) -> int:
     entries = [{"tree": str(t), "degree": t.degree, "coefficient": str(c)}
                for t, c in comb.sorted_terms()]
     doc = {"command": "trees", "n": args.n, "k": args.k, "terms": entries, **meta}
-    text_lines = [f"{c} * {t}" for t, c in comb.sorted_terms()] or ["0"]
+    text = str(comb)
     if args.dot:
-        out_dir = _output_dir(args)
+        os.makedirs(args.output_dir, exist_ok=True)
         paths = []
         for idx, (t, _c) in enumerate(comb.sorted_terms()):
-            path = os.path.join(out_dir, f"tree_{idx:03d}.dot")
+            path = os.path.join(args.output_dir, f"tree_{idx:03d}.dot")
             with open(path, "w") as fh:
                 fh.write(t.to_dot(name=f"tree_{idx:03d}"))
             paths.append(path)
         doc["dotFiles"] = paths
-        text_lines.append(f"wrote {len(paths)} DOT file(s) to {out_dir}")
-    _emit(args, doc, "\n".join(text_lines))
+        text += f"\nwrote {len(paths)} DOT file(s) to {args.output_dir}"
+    _emit(args, doc, text)
     return EXIT_OK
 
 
@@ -475,21 +480,24 @@ def cmd_verify(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(p, braid=True, expansion=True, k=True, k_required=False):
+def _add_input(p) -> None:
+    """The input flags every command on a braid or longitude tuple reads."""
     p.add_argument("--n", type=int, required=True, help="number of strands")
-    if braid:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--braid", default="", help="braid word")
-        group.add_argument("--longitude-file", help="JSON longitude tuple")
-    if expansion:
-        p.add_argument("--expansion", default="canonical",
-                       help="canonical | randomized | path to a JSON expansion")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the randomized expansion")
-    if k:
-        p.add_argument("--k", type=int, required=k_required,
-                       help="filtration degree")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--braid", default="", help="braid word")
+    group.add_argument("--longitude-file", help="JSON longitude tuple")
     p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _add_expansion(p, k_required: bool = False) -> None:
+    """The input flags, the expansion flags and the degree --k of every
+    command that builds an expansion."""
+    _add_input(p)
+    p.add_argument("--expansion", default="canonical",
+                   help="canonical | randomized | path to a JSON expansion")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomized expansion")
+    p.add_argument("--k", type=int, required=k_required, help="filtration degree")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,18 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("milnor", help="total / degree / truncated invariant")
-    _add_common(p)
+    _add_expansion(p)
     p.add_argument("--mode", choices=("total", "degree", "truncated"),
-                   default="degree")
-    p.add_argument("--trunc", type=int, help="truncation for --mode total")
+                   default="degree", help="--mode total reads --trunc, the others --k")
+    p.add_argument("--trunc", type=int, help="highest degree for --mode total "
+                   "(default 3); the expansion is built one degree higher")
     p.set_defaults(func=cmd_milnor)
 
     p = sub.add_parser("longitudes", help="longitude words of a braid")
-    _add_common(p, expansion=False, k=False)
+    _add_input(p)
     p.set_defaults(func=cmd_longitudes)
 
     p = sub.add_parser("level", help="Milnor filtration level")
-    _add_common(p, expansion=False, k=False)
+    _add_input(p)
     p.add_argument("--max-k", type=int, default=6)
     p.set_defaults(func=cmd_level)
 
@@ -524,17 +533,16 @@ def build_parser() -> argparse.ArgumentParser:
                     default="canonical")
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", help="output JSON path")
-    pb.set_defaults(func=cmd_expansion)
+    pb.set_defaults(func=cmd_expansion_build)
     pc = psub.add_parser("check")
     pc.add_argument("file")
     pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.set_defaults(func=cmd_expansion)
+    pc.set_defaults(func=cmd_expansion_check)
 
     p = sub.add_parser("trees", help="tree-diagram form of the invariant")
-    _add_common(p, k_required=True)
+    _add_expansion(p, k_required=True)
     p.add_argument("--dot", action="store_true", help="write DOT files")
-    p.add_argument("--output-dir", help="directory for DOT files "
-                   "(default $STRINGLINKS_OUTPUT_DIR or .)")
+    p.add_argument("--output-dir", default=".", help="directory for DOT files (default .)")
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("homology", help="Koszul homology dimension table")
@@ -545,11 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("morita", help="refined H3-valued invariant")
-    _add_common(p, k_required=True)
+    _add_expansion(p, k_required=True)
     p.set_defaults(func=cmd_morita)
 
     p = sub.add_parser("verify", help="structural property suite on one input")
-    _add_common(p)
+    _add_expansion(p)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -559,7 +567,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag in ("n", "k", "trunc", "max_k"):
-        value = getattr(args, flag, None)
+        value = vars(args).get(flag)
         # H_3 of the class-(k-1) quotient needs k - 1 >= 1
         least = 2 if (args.command, flag) == ("homology", "k") else 1
         if value is not None and value < least:
@@ -574,11 +582,8 @@ def main(argv=None) -> int:
     except OSError as exc:  # missing, unreadable or directory input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FiltrationError, NotACycleError, ScaleError) as exc:
+    except ValueError as exc:  # filtration, speciality, scale, a mismatched file
         print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except RuntimeError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)

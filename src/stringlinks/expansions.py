@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import random
-from fractions import Fraction
 
 from . import linalg
 from .lie import (HTensorLie, LieElement, bracket_map_matrix, conjugating_element,
@@ -125,9 +124,8 @@ class Expansion:
         for i, img in enumerate(images, start=1):
             if img.n != n or img.trunc != trunc:
                 raise ValueError("image lives in the wrong tensor algebra")
-            lead = {(): Q1, (i,): Q1}
-            low = {w: c for w, c in img.coeffs.items() if len(w) <= 1}
-            if low != lead:
+            den, nums = img._integral()  # degrees 0 and 1 hold 1 + X_i exactly
+            if nums.get(0) != {0: den} or nums.get(1) != {i - 1: den}:
                 raise ValueError(
                     f"image of x_{i} violates the Magnus condition 1 + X_{i} + O(2)")
         self.n = n
@@ -180,16 +178,6 @@ class Expansion:
                 for img in self.images
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Expansion":
-        n, trunc = doc["n"], doc["truncation"]
-        images = tuple(
-            TensorSeries.from_terms(
-                n, trunc,
-                ((tuple(t["word"]), Fraction(t["coefficient"])) for t in terms))
-            for terms in doc["images"])
-        return cls(n, trunc, images)
 
 
 def magnus_expansion(n: int, trunc: int) -> Expansion:

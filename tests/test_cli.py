@@ -295,6 +295,19 @@ def test_milnor_without_k_exit_code(capsys, mode):
     assert f"--k is required for mode {mode}" in err
 
 
+@pytest.mark.parametrize("mode, flag", [("total", "--k"), ("degree", "--trunc"),
+                                        ("truncated", "--trunc")])
+def test_milnor_window_flag_of_another_mode_exit_code(capsys, mode, flag):
+    # total mode reads only --trunc, the degree and truncated modes only --k:
+    # the flag a mode does not read is an argument error, not ignored
+    window = ["--k", "2"] if flag == "--k" else ["--k", "2", "--trunc", "5"]
+    code, out, err = run(capsys, "milnor", "--n", "3", "--braid", "[A(1,2), A(1,3)]",
+                         "--mode", mode, *window)
+    assert code == EXIT_PARSE
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("parse error: ") and flag in err
+
+
 def test_total_mode_rejects_trunc_below_one(capsys):
     code, _, err = run(capsys, "milnor", "--braid", "A(1,2)", "--n", "2",
                        "--mode", "total", "--trunc", "0")
@@ -511,6 +524,52 @@ def test_pinned_json_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the text output, on [A(1,2), A(1,3)] at n = 3 where a braid is read
+@pytest.mark.parametrize("argv, digest", [
+    (("milnor", "--mode", "truncated", "--k", "2"),
+     "5aca813265abce5e50508a4b710e3a9bdd5529cf79ac06414db9950394b71972"),
+    (("trees", "--k", "2"),
+     "229629bf0c8dc3b929693be19dda4f4f635f5b550b83a15ac2f082e3ed22d46b"),
+    (("morita", "--k", "1"),
+     "d20da953fff40742ec60195ddace3fc01d72ad7fc65fb51e5061737f6f5567e5"),
+    (("verify", "--k", "2"),
+     "34fc8e73df77baa6c361ff75f9a322405720665f3905a26b67b452f178907a21"),
+    (("homology", "--k", "3"),
+     "f8492b1dd167ecc71d1890aa839c0a6713f26ef9b220a9767a423272e4bd7885"),
+], ids=["milnor-truncated", "trees", "morita", "verify", "homology"])
+def test_pinned_text_output(capsys, argv, digest):
+    braid = () if argv[0] == "homology" else ("--braid", "[A(1,2), A(1,3)]")
+    code, out, _ = run(capsys, *argv, *braid, "--n", "3")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dot_files_go_to_the_output_dir_only(capsys, tmp_path, monkeypatch):
+    # --output-dir defaults to the working directory; no environment
+    # variable is read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STRINGLINKS_OUTPUT_DIR", str(tmp_path / "elsewhere"))
+    code, out, _ = run(capsys, "trees", "--braid", "[A(1,2), A(1,3)]", "--n", "3",
+                       "--k", "2", "--dot")
+    assert code == EXIT_OK
+    assert out.endswith("wrote 4 DOT file(s) to .\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"tree_{i:03d}.dot" for i in range(4)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("milnor", "--k", "3"), "not in filtration level 3"),
+    (("milnor", "--k", "2", "--expansion", "{theta}"), "expansion file has n=2"),
+], ids=["filtration", "expansion-rank"])
+def test_precondition_errors_share_one_prefix(capsys, tmp_path, argv, message):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(shared_expansion(2, 3).to_json_dict()))
+    argv = [a.format(theta=theta) for a in argv]
+    code, out, err = run(capsys, *argv, "--braid", "[A(1,2), A(1,3)]", "--n", "3")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.startswith("precondition violated: ") and message in err
+
+
 def test_json_output_is_deterministic(capsys):
     args = ("milnor", "--braid", "[A(1,2), A(1,3)]", "--n", "3", "--k", "2",
             "--format", "json")
@@ -591,7 +650,7 @@ def cli_argv(draw, directory):
     if command == "milnor":
         mode = draw(st.sampled_from([None, "total", "degree", "truncated"]))
         trunc = draw(st.sampled_from([None, 0, 1, 2, 3])) if mode == "total" else None
-        # total mode without --trunc builds at 2k + 2
+        # total mode reads only --trunc (default 3), so a --k there exits 2
         k = draw(st.sampled_from([None, 1] if mode == "total" and trunc is None
                                  else [2, 1, None] * 3 + [0]))
         argv += ["--mode", mode] if mode else []

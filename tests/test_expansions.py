@@ -47,6 +47,33 @@ def test_magnus_not_grouplike():
     assert is_grouplike_expansion(exp_expansion(2, 4))
 
 
+def _magnus_cases():
+    x1, x2 = (TensorSeries.generator(2, 3, i) for i in (1, 2))
+    return {
+        "fraction-constant-2": TensorSeries(2, 3, {(): Fraction(2), (1,): Fraction(1)}),
+        "fraction-extra-degree-1": TensorSeries(
+            2, 3, {(): Fraction(1), (1,): Fraction(1), (2,): Fraction(1, 3)}),
+        "kernel-product": x1.exp() * x2.exp(),
+    }
+
+
+@pytest.mark.parametrize("case", ["fraction-constant-2", "fraction-extra-degree-1",
+                                  "kernel-product"])
+def test_magnus_condition_is_checked_on_every_image(case):
+    # images born from Fractions and from the series kernel are checked alike
+    image = _magnus_cases()[case]
+    exps = tuple(TensorSeries.generator(2, 3, i).exp() for i in (1, 2))
+    with pytest.raises(ValueError) as info:
+        Expansion(2, 3, (image, exps[1]))
+    assert str(info.value) == "image of x_1 violates the Magnus condition 1 + X_1 + O(2)"
+    with pytest.raises(ValueError) as info:
+        Expansion(2, 3, (exps[0], image))
+    assert str(info.value) == "image of x_2 violates the Magnus condition 1 + X_2 + O(2)"
+    # 1 + X_1 + O(2) with a rational tail passes, whatever its denominators
+    tail = TensorSeries(2, 3, {(1, 2): Fraction(1, 3), (2, 2, 1): Fraction(-5, 7)})
+    assert Expansion(2, 3, (exps[0] * (TensorSeries.one(2, 3) + tail), exps[1])).n == 2
+
+
 def test_speciality_failure_reports():
     x1, x2 = (TensorSeries.generator(2, 4, i) for i in (1, 2))
     # exp(X1 + [X2, [X2, X1]]) is group-like, but [X1, u] = [X2, [X2, X1]]
