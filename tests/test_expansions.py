@@ -47,21 +47,15 @@ def test_magnus_not_grouplike():
     assert is_grouplike_expansion(exp_expansion(2, 4))
 
 
-def _magnus_cases():
-    x1, x2 = (TensorSeries.generator(2, 3, i) for i in (1, 2))
-    return {
-        "fraction-constant-2": TensorSeries(2, 3, {(): Fraction(2), (1,): Fraction(1)}),
-        "fraction-extra-degree-1": TensorSeries(
-            2, 3, {(): Fraction(1), (1,): Fraction(1), (2,): Fraction(1, 3)}),
-        "kernel-product": x1.exp() * x2.exp(),
-    }
-
-
-@pytest.mark.parametrize("case", ["fraction-constant-2", "fraction-extra-degree-1",
-                                  "kernel-product"])
-def test_magnus_condition_is_checked_on_every_image(case):
+@pytest.mark.parametrize("image", [
+    TensorSeries(2, 3, {(): Fraction(2), (1,): Fraction(1)}),
+    TensorSeries(2, 3, {(): Fraction(1), (1,): Fraction(1), (2,): Fraction(1, 3)}),
+    TensorSeries(2, 3, {(): Fraction(1), (1,): Fraction(1, 2)}),
+    TensorSeries.generator(2, 3, 1).exp() * TensorSeries.generator(2, 3, 2).exp(),
+], ids=["fraction-constant-2", "fraction-extra-degree-1", "fraction-half-x1",
+        "kernel-product"])
+def test_magnus_condition_is_checked_on_every_image(image):
     # images born from Fractions and from the series kernel are checked alike
-    image = _magnus_cases()[case]
     exps = tuple(TensorSeries.generator(2, 3, i).exp() for i in (1, 2))
     with pytest.raises(ValueError) as info:
         Expansion(2, 3, (image, exps[1]))
